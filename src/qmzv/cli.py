@@ -421,6 +421,12 @@ def _suite_cases(suite, args):
     return cases
 
 
+def _worker_count(jobs: int) -> int:
+    """Worker processes for ``verify --jobs``: the request, capped at the
+    number of CPUs (more workers than cores only add start-up cost)."""
+    return min(jobs, os.cpu_count() or 1)
+
+
 def cmd_verify(args) -> int:
     for name in ("n_max", "m_max", "s_max", "trunc", "jobs"):
         value = getattr(args, name)
@@ -428,8 +434,9 @@ def cmd_verify(args) -> int:
             raise BadParams(f"--{name.replace('_', '-')} must be >= 1")
     start = time.monotonic()
     cases = _suite_cases(args.suite, args)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = _worker_count(args.jobs)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_execute_case, cases))
     else:
         outcomes = [_execute_case(c) for c in cases]

@@ -3,9 +3,20 @@
 Elements are stored in the power basis 1, zeta, ..., zeta^(phi(n)-1) and
 reduced modulo the n-th cyclotomic polynomial Phi_n.  Working modulo Phi_n
 (not x^n - 1) keeps the quotient a field, which the inverse powers
-1/(1 - zeta^i) require.  Coordinates are rationals; integer coordinates are
-kept as ints internally since sums and products of roots of unity stay in
-Z[zeta], which keeps the hot paths on machine integers.
+1/(1 - zeta^i) require.
+
+An element is a vector of integer coordinates in Z[zeta] over one shared
+positive denominator, the layout of FLINT's ``fmpq_poly``: the value is
+(num[0] + num[1] zeta + ...) / den.  The form is kept in lowest terms,
+gcd(den, num[0], num[1], ...) == 1, so it is canonical and equality is a
+tuple comparison.  Products and sums therefore run on Python ints only; a
+common denominator is reduced once per operation instead of once per
+coordinate.  ``coords`` gives the rational coordinates (integral ones as
+ints, the others as Fractions).
+
+The inverses 1/(1 - zeta^i) have a closed form (``inv_one_minus_power``)
+that needs neither a field multiplication nor the extended Euclidean
+algorithm; ``CycloElem.inverse`` keeps the xgcd path for generic elements.
 
 Contexts are cached per n and immutable; elements from different contexts
 never mix (checked, raises ContextMismatch).
@@ -72,18 +83,10 @@ class CycloCtx:
         self.phi_poly = cyclotomic_poly(n)
         self.degree = self.phi_poly.degree()
         d = self.degree
-        # x^(d+t) mod Phi_n for t = 0 .. d-2, as integer coordinate tuples.
-        red = []
+        # x^d = sum_j base[j] x^j mod Phi_n; only the nonzero terms are kept
+        # for the top-down reduction of products.
         base = [-c for c in self.phi_poly.coeffs[:-1]]
-        red.append(tuple(base))
-        cur = base
-        for _ in range(d - 2):
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                cur = [c + top * b for c, b in zip(cur, base)]
-            red.append(tuple(cur))
-        self._reduction = red
+        self._base_terms = tuple((j, b) for j, b in enumerate(base) if b)
         # coordinates of zeta^m for m = 0 .. n-1
         pows = []
         coords = [1] + [0] * (d - 1)
@@ -106,45 +109,65 @@ class CycloCtx:
         return hash(("CycloCtx", self.n))
 
     def element(self, coords) -> "CycloElem":
-        cs = list(coords)
-        if len(cs) > self.degree:
-            raise ValueError("coordinate vector too long")
-        cs.extend(0 for _ in range(self.degree - len(cs)))
-        return CycloElem(self, tuple(cs))
+        """Element with the given rational (int or Fraction) coordinates."""
+        return CycloElem(self, coords)
 
     def from_rational(self, x) -> "CycloElem":
         return self.element([Fraction(x)])
 
     def zero(self) -> "CycloElem":
-        return self.element([])
+        return _make(self, (0,) * self.degree, 1)
 
     def one(self) -> "CycloElem":
-        return self.element([1])
+        return _make(self, self._zeta_pows[0], 1)
 
     def zeta(self) -> "CycloElem":
-        return CycloElem(self, self._zeta_pows[1 % self.n])
+        return _make(self, self._zeta_pows[1 % self.n], 1)
 
     def zeta_power(self, m: int) -> "CycloElem":
-        return CycloElem(self, self._zeta_pows[m % self.n])
+        return _make(self, self._zeta_pows[m % self.n], 1)
+
+    def inv_one_minus_power(self, i: int) -> "CycloElem":
+        """1/(1 - zeta^i) in closed form, for every i with zeta^i != 1.
+
+        With w = zeta^i, w != 1 and w^n = 1, (1 - w) sum_k k w^k = -n, so
+        1/(1 - w) = -(1/n) sum_{k=1}^{n-1} k w^k.  This is exact and costs
+        O(n * phi(n)) integer additions: no xgcd, no field multiplication.
+        """
+        n = self.n
+        if i % n == 0:
+            raise ZeroInverse("1 - zeta^i vanishes when n divides i")
+        out = [0] * self.degree
+        pows = self._zeta_pows
+        for k in range(1, n):
+            for j, pj in enumerate(pows[(i * k) % n]):
+                if pj:
+                    out[j] -= k * pj
+        return _canonical(self, out, n)
 
     def _mul_coords(self, a, b):
+        """Product of two integer coordinate vectors, reduced mod Phi_n."""
         d = self.degree
-        conv = [0] * (2 * d - 1) if d > 1 else [0]
+        conv = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj != 0:
-                    conv[i + j] += ai * bj
-        out = conv[:d]
-        for t in range(d, len(conv)):
-            c = conv[t]
-            if c != 0:
-                row = self._reduction[t - d]
-                for j, rj in enumerate(row):
-                    if rj != 0:
-                        out[j] = out[j] + c * rj
-        return tuple(out)
+            if ai:
+                for t, bj in enumerate(b, i):
+                    if bj:
+                        conv[t] += ai * bj
+        # x^n = 1 mod Phi_n: fold the top first (for prime n this leaves a
+        # single power x^d to reduce), then clear x^t, t >= d, top-down.
+        n = self.n
+        for t in range(len(conv) - 1, n - 1, -1):
+            c = conv.pop()
+            if c:
+                conv[t - n] += c
+        for t in range(len(conv) - 1, d - 1, -1):
+            c = conv.pop()
+            if c:
+                shift = t - d
+                for j, bj in self._base_terms:
+                    conv[shift + j] += c * bj
+        return tuple(conv)
 
 
 @lru_cache(maxsize=None)
@@ -153,16 +176,30 @@ def cyclo_ctx(n: int) -> CycloCtx:
 
 
 class CycloElem:
-    """Immutable element of Q(zeta_n) in power-basis coordinates."""
+    """Immutable element of Q(zeta_n): integer power-basis coordinates
+    ``num`` over one positive denominator ``den``, in lowest terms."""
 
-    __slots__ = ("ctx", "coords")
+    __slots__ = ("ctx", "num", "den")
 
     def __init__(self, ctx: CycloCtx, coords):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coords", tuple(coords))
+        cs = [Fraction(c) for c in coords]
+        if len(cs) > ctx.degree:
+            raise ValueError("coordinate vector too long")
+        cs.extend(Fraction(0) for _ in range(ctx.degree - len(cs)))
+        den = math.lcm(*(c.denominator for c in cs))
+        num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        _init(self, ctx, num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloElem is immutable")
+
+    @property
+    def coords(self) -> tuple:
+        """Rational power-basis coordinates; integral ones as ints."""
+        den = self.den
+        if den == 1:
+            return self.num
+        return tuple(Fraction(c, den) if c % den else c // den for c in self.num)
 
     def _coerce(self, other):
         if isinstance(other, CycloElem):
@@ -172,36 +209,47 @@ class CycloElem:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return self.ctx.element([other])
+            ctx = self.ctx
+            return _make(ctx, (other.numerator,) + (0,) * (ctx.degree - 1), other.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloElem(self.ctx, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        da, db = self.den, o.den
+        if da == db:
+            return _canonical(self.ctx, [a + b for a, b in zip(self.num, o.num)], da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return _canonical(
+            self.ctx, [a * fa + b * fb for a, b in zip(self.num, o.num)], da * fa
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElem(self.ctx, tuple(-a for a in self.coords))
+        return _make(self.ctx, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloElem(self.ctx, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return self + (-o)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            p = other.numerator
+            return _canonical(self.ctx, [a * p for a in self.num], self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if isinstance(other, (int, Fraction)):
-            return CycloElem(self.ctx, tuple(a * other for a in self.coords))
-        return CycloElem(self.ctx, self.ctx._mul_coords(self.coords, o.coords))
+        return _canonical(
+            self.ctx, self.ctx._mul_coords(self.num, o.num), self.den * o.den
+        )
 
     __rmul__ = __mul__
 
@@ -209,8 +257,10 @@ class CycloElem:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            inv = Fraction(1) / Fraction(other)
-            return CycloElem(self.ctx, tuple(a * inv for a in self.coords))
+            p, q = other.numerator, other.denominator
+            if p < 0:
+                p, q = -p, -q
+            return _canonical(self.ctx, [a * q for a in self.num], self.den * p)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -235,9 +285,12 @@ class CycloElem:
         if isinstance(other, CycloElem):
             if other.ctx.n != self.ctx.n:
                 raise ContextMismatch("comparing elements of different fields")
-            return all(a == b for a, b in zip(self.coords, other.coords))
+            return self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
-            return self.coords[0] == other and all(a == 0 for a in self.coords[1:])
+            return (
+                self.num[0] * other.denominator == other.numerator * self.den
+                and not any(self.num[1:])
+            )
         return NotImplemented
 
     def __ne__(self, other):
@@ -247,21 +300,22 @@ class CycloElem:
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
+        return not any(self.num)
 
     def inverse(self) -> "CycloElem":
         """Multiplicative inverse via the extended Euclidean algorithm.
 
         Phi_n is irreducible over Q, so the gcd with any nonzero
-        representative is a nonzero constant.
+        representative is a nonzero constant.  The inverse of num/den is
+        den times the inverse of the integer vector num.
         """
         if self.is_zero():
             raise ZeroInverse("inverse of zero")
-        a = UniPoly(tuple(Fraction(c) for c in self.coords))
+        a = UniPoly(tuple(Fraction(c) for c in self.num))
         g, u, _ = poly_xgcd(a, self.ctx._phi_frac)
         if g.degree() != 0:
             raise ZeroInverse("element shares a factor with the modulus")
-        inv_poly = u * (Fraction(1) / g.coeffs[0])
+        inv_poly = u * (Fraction(self.den) / g.coeffs[0])
         _, rem = poly_divmod(inv_poly, self.ctx._phi_frac)
         return self.ctx.element(rem.coeffs)
 
@@ -269,27 +323,51 @@ class CycloElem:
         """Image under zeta -> zeta^a; requires gcd(a, n) = 1."""
         if math.gcd(a, self.ctx.n) != 1:
             raise ValueError("galois substitution needs gcd(a, n) = 1")
-        d = self.ctx.degree
-        out = [0] * d
-        for i, ci in enumerate(self.coords):
+        out = [0] * self.ctx.degree
+        for i, ci in enumerate(self.num):
             if ci == 0:
                 continue
             pw = self.ctx._zeta_pows[(i * a) % self.ctx.n]
             for j, pj in enumerate(pw):
                 if pj != 0:
                     out[j] = out[j] + ci * pj
-        return CycloElem(self.ctx, tuple(out))
+        return _canonical(self.ctx, out, self.den)
 
     def __repr__(self):
         return f"CycloElem(n={self.ctx.n}, {list(self.coords)!r})"
 
 
+def _init(elem, ctx, num, den):
+    object.__setattr__(elem, "ctx", ctx)
+    object.__setattr__(elem, "num", num)
+    object.__setattr__(elem, "den", den)
+
+
+def _make(ctx, num: tuple, den: int) -> CycloElem:
+    """Element from a coordinate tuple and denominator already in lowest
+    terms with den > 0."""
+    elem = object.__new__(CycloElem)
+    _init(elem, ctx, num, den)
+    return elem
+
+
+def _canonical(ctx, num, den: int) -> CycloElem:
+    """Element from integer coordinates over den > 0, reduced to lowest
+    terms."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _make(ctx, tuple(num), den)
+
+
 def as_rational(a: CycloElem) -> Fraction:
     """Extract the rational value of an element; NotRational if any higher
     power-basis coordinate is nonzero."""
-    if any(c != 0 for c in a.coords[1:]):
+    if any(a.num[1:]):
         raise NotRational(a)
-    return Fraction(a.coords[0])
+    return Fraction(a.num[0], a.den)
 
 
 def product_one_minus_powers(ctx: CycloCtx) -> Fraction:

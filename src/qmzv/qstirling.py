@@ -172,13 +172,45 @@ class StirlingTable:
             return self.q.one()
         if k < self.r:
             return 0
-        key = (n, k)
-        val = self._memo.get(key)
+        memo = self._memo
+        val = memo.get((n, k))
         if val is None:
-            w = self.weight(n - 1) if self.kind == "first" else self.weight(k)
-            val = self.entry(n - 1, k - 1) + w * self.entry(n - 1, k)
-            self._memo[key] = val
+            if (k - 1 < self.r or (n - 1, k - 1) in memo) and (
+                k == n - 1 or (n - 1, k) in memo
+            ):
+                val = memo[(n, k)] = self._step(n, k)
+            else:
+                self._fill(n, k)
+                val = memo[(n, k)]
         return val
+
+    def _step(self, n: int, k: int):
+        """One recurrence step; (n-1, k-1) and (n-1, k) must be at hand."""
+        w = self.weight(n - 1) if self.kind == "first" else self.weight(k)
+        return self.entry(n - 1, k - 1) + w * self.entry(n - 1, k)
+
+    def _fill(self, n: int, k: int):
+        """Memoize (n, k) and every missing entry it depends on, row by row
+        from the bottom up, without recursion.
+
+        Entry (i, j) depends on (i-1, j-1) and (i-1, j), so row i needs
+        columns k-(n-i)..k.  The memo is closed under dependencies, so the
+        fill starts above the first row found with nothing missing and
+        computes exactly the entries the plain recursion would.
+        """
+        memo = self._memo
+        r = self.r
+
+        def band(i):
+            return range(max(r, k - (n - i)), min(k, i - 1) + 1)
+
+        low = n
+        while low - 1 > r and any((low - 1, j) not in memo for j in band(low - 1)):
+            low -= 1
+        for i in range(low, n + 1):
+            for j in band(i):
+                if (i, j) not in memo:
+                    memo[(i, j)] = self._step(i, j)
 
 
 _TABLES: dict = {}

@@ -197,12 +197,20 @@ def seq_transform_inverse(b: Sequence, n: int, route: str = "recurrence"):
     return res[n]
 
 
-@lru_cache(maxsize=None)
+# H_0, H_1, ..., H_K: the prefix is extended in a loop, one addition per new
+# entry.  Entries are written only once their predecessor exists, so the keys
+# always form a contiguous prefix and a concurrent fill rewrites equal values.
+_HARMONIC = {0: Fraction(0)}
+
+
 def harmonic(n: int) -> Fraction:
     """H_n = 1 + 1/2 + ... + 1/n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return (harmonic(n - 1) if n > 1 else Fraction(0)) + Fraction(1, n)
+    memo = _HARMONIC
+    for k in range(len(memo), n + 1):
+        memo[k] = memo[k - 1] + Fraction(1, k)
+    return memo[n]
 
 
 @lru_cache(maxsize=None)

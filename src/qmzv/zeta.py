@@ -39,8 +39,8 @@ from .exactnum import (
 )
 from .qstirling import BadParams, RootOfUnityQ, qfact, rstirling1, stirling1
 from .seqlib import (
-    bell_complete,
     degen_bernoulli,
+    elem_from_power_sums,
     seq_transform_forward,
     seq_transform_inverse,
 )
@@ -83,8 +83,7 @@ def _validate(n: int, m: int, s: int) -> None:
 def _inv_one_minus(n: int):
     """Inverses of (1 - zeta^i) for i = 1..n-1."""
     ctx = cyclo_ctx(n)
-    one = ctx.one()
-    return tuple((one - ctx.zeta_power(i)).inverse() for i in range(1, n))
+    return tuple(ctx.inv_one_minus_power(i) for i in range(1, n))
 
 
 @lru_cache(maxsize=None)
@@ -188,9 +187,7 @@ def _single_index_sequence(n: int, s: int, j_max: int):
 def zeta_bell(n: int, m: int, s: int) -> ZetaValue:
     """(1/m!) Y_m(a_1, -1! a_2, 2! a_3, ...) with a_j = Z_n(zeta_n; 1, js)."""
     _validate(n, m, s)
-    a = _single_index_sequence(n, s, m)
-    xs = [(-1) ** j * math.factorial(j) * a[j] for j in range(m)]
-    val = bell_complete(m, xs) / Fraction(math.factorial(m))
+    val = elem_from_power_sums(_single_index_sequence(n, s, m), m)
     return ZetaValue(val, "bell", (n, m, s))
 
 
@@ -311,9 +308,11 @@ def zeta_m3_closed(n: int, m: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _inv_qnums(n: int):
-    """Inverses of the q-numbers [i] at q = zeta_n for i = 1..n-1."""
-    qpt = RootOfUnityQ(n)
-    return tuple(qpt.qnum(i).inverse() for i in range(1, n))
+    """Inverses of the q-numbers [i] at q = zeta_n for i = 1..n-1, as
+    1/[i] = (1 - zeta)/(1 - zeta^i)."""
+    ctx = cyclo_ctx(n)
+    one_minus_zeta = ctx.one() - ctx.zeta()
+    return tuple(one_minus_zeta * c for c in _inv_one_minus(n))
 
 
 def harmonic_q_series(n: int, parts, q=None):

@@ -277,3 +277,13 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "= 1 [closed]" in proc.stdout
+
+
+def test_worker_count_is_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._worker_count(1) == 1
+    assert cli._worker_count(3) == 3
+    assert cli._worker_count(4) == 4
+    assert cli._worker_count(10 ** 9) == 4
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count(8) == 1

@@ -168,3 +168,108 @@ def test_qnum_vanishes_at_full_power():
     from qmzv.qstirling import RootOfUnityQ
 
     assert RootOfUnityQ(4).qnum(4) == 0
+
+
+# ------------------------------------------- integer coordinates, one denominator
+
+
+def _is_canonical(x):
+    import math
+
+    return (
+        all(isinstance(c, int) for c in x.num)
+        and isinstance(x.den, int)
+        and x.den > 0
+        and math.gcd(x.den, *x.num) == 1
+        and len(x.num) == x.ctx.degree
+    )
+
+
+def test_closed_form_inverse_table_matches_xgcd():
+    for n in range(2, 41):
+        ctx = cyclo_ctx(n)
+        one = ctx.one()
+        for i in range(1, n):
+            closed = ctx.inv_one_minus_power(i)
+            assert _is_canonical(closed)
+            assert closed == (one - ctx.zeta_power(i)).inverse()
+
+
+def test_closed_form_inverse_rejects_unit_power():
+    ctx = cyclo_ctx(6)
+    for i in (0, 6, -12):
+        with pytest.raises(ZeroInverse):
+            ctx.inv_one_minus_power(i)
+
+
+def test_every_operation_result_is_canonical():
+    import math
+
+    rng = random.Random(11)
+    for n in (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 21, 23):
+        ctx = cyclo_ctx(n)
+        units = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
+        for _ in range(6):
+            a = ctx.element(
+                [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(ctx.degree)]
+            )
+            b = ctx.element(
+                [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(ctx.degree)]
+            )
+            scalar = F(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
+            results = [
+                a + b, a - b, a * b, -a, a + scalar, scalar - a, a * scalar,
+                scalar * a, a / scalar, a * 0, a - a, a ** 3, a ** 0,
+                a.galois(rng.choice(units)),
+            ]
+            if not b.is_zero():
+                results += [a / b, b.inverse(), b ** -2, 1 / b]
+            for r in results:
+                assert _is_canonical(r)
+            assert _is_canonical(ctx.zero()) and _is_canonical(ctx.one())
+            assert (a - a).den == 1
+
+
+def test_fraction_and_integer_built_elements_compare_by_value():
+    ctx = cyclo_ctx(7)
+    z = ctx.zeta()
+    # (1 + 2 zeta)/6 built three ways
+    from_fractions = ctx.element([F(1, 6), F(1, 3)])
+    from_ints = (ctx.one() + 2 * z) / 6
+    from_scaled = ctx.element([F(2, 12), F(4, 12), 0, 0, 0, 0])
+    assert from_fractions == from_ints == from_scaled
+    assert from_fractions.num == (1, 2, 0, 0, 0, 0) and from_fractions.den == 6
+    # integer coordinates with a common factor against the denominator
+    assert ctx.element([2, 4]) / 2 == ctx.one() + 2 * z
+    # unequal values stay unequal, including ones sharing num or den
+    assert from_fractions != ctx.element([F(1, 6), F(1, 6)])
+    assert from_fractions != ctx.element([F(1, 5), F(2, 5)])
+    assert ctx.element([F(1, 6), 0]) != ctx.element([F(1, 6), F(1, 6)])
+    # rational comparisons
+    assert ctx.element([F(3, 4)]) == F(3, 4)
+    assert ctx.element([F(3, 4)]) != F(3, 5)
+    assert ctx.element([F(6, 3)]) == 2
+    assert ctx.element([F(3, 4), 1]) != F(3, 4)
+    rng = random.Random(3)
+    for _ in range(200):
+        xs = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(6)]
+        ys = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(6)]
+        assert (ctx.element(xs) == ctx.element(ys)) == (xs == ys)
+
+
+def test_coords_returns_rational_values():
+    ctx = cyclo_ctx(5)
+    z = ctx.zeta()
+    assert ctx.one().coords == (1, 0, 0, 0)
+    assert z.coords == (0, 1, 0, 0)
+    assert all(isinstance(c, int) for c in (z * z + 3).coords)
+    half = ctx.element([F(1, 2), 0, F(3, 4)])
+    assert half.coords == (F(1, 2), 0, F(3, 4), 0)
+    assert ctx.from_rational(F(7, 3)).coords == (F(7, 3), 0, 0, 0)
+    # zeta^4 = -1 - zeta - zeta^2 - zeta^3 in Q(zeta_5)
+    assert ctx.zeta_power(4).coords == (-1, -1, -1, -1)
+    inv = (ctx.one() - z).inverse()
+    assert inv.coords == (F(4, 5), F(3, 5), F(2, 5), F(1, 5))
+    assert ctx.element(inv.coords) == inv
+    assert repr(half) == "CycloElem(n=5, [Fraction(1, 2), 0, Fraction(3, 4), 0])"
+    assert repr(z) == "CycloElem(n=5, [0, 1, 0, 0])"

@@ -311,3 +311,45 @@ def test_symbolic_table_evaluates_at_rational():
             want = stirling1(n, k, 1, 2, rat)
             got = sym_entry(qv) if isinstance(sym_entry, UniPoly) else sym_entry
             assert got == want
+
+
+def test_stirling_deep_row_has_no_recursion_limit():
+    # [n, 2] at r = s = 1, q = 1 is the unsigned Stirling number (n-1)! H_(n-1)
+    from math import factorial
+
+    from qmzv.seqlib import harmonic
+
+    assert stirling1(1500, 2, q=Q1) == factorial(1499) * harmonic(1499)
+
+
+def test_bottom_up_fill_computes_what_the_recursion_computes():
+    # a test-local recursive triangle records which entries it computes;
+    # the bottom-up fill must memoize exactly those, request by request
+    from qmzv.qstirling import StirlingTable
+
+    def reference(kind, r, s, q):
+        memo = {}
+
+        def entry(n, k):
+            if k < 0 or n < 0 or k > n:
+                return 0
+            if n == k:
+                return q.one()
+            if k < r:
+                return 0
+            if (n, k) not in memo:
+                w = q.qnum(n - 1 if kind == "first" else k) ** s
+                memo[(n, k)] = entry(n - 1, k - 1) + w * entry(n - 1, k)
+            return memo[(n, k)]
+
+        return entry, memo
+
+    requests = [(9, 3), (9, 3), (12, 4), (6, 5), (14, 2), (14, 13), (3, 1), (20, 7)]
+    for kind in ("first", "second"):
+        for r, s in ((1, 1), (2, 2), (3, 1)):
+            q = RationalQ(F(2, 3))
+            table = StirlingTable(kind, r, s, q)
+            ref_entry, ref_memo = reference(kind, r, s, q)
+            for n, k in requests:
+                assert table.entry(n, k) == ref_entry(n, k)
+                assert table._memo == ref_memo

@@ -267,3 +267,13 @@ def test_listed_constant_sequence():
     ]
     for s, want in enumerate(listed, start=1):
         assert F((-1) ** (s - 1)) * norlund(s) / math.factorial(s) == want
+
+
+def test_harmonic_deep_index_has_no_recursion_limit():
+    # the fill is a loop, so an index far past the recursion limit works
+    h = harmonic(3000)
+    acc = F(0)
+    for k in range(1, 3001):
+        acc += F(1, k)
+    assert h == acc
+    assert harmonic(2999) + F(1, 3000) == h
