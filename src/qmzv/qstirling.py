@@ -175,19 +175,9 @@ class StirlingTable:
         memo = self._memo
         val = memo.get((n, k))
         if val is None:
-            if (k - 1 < self.r or (n - 1, k - 1) in memo) and (
-                k == n - 1 or (n - 1, k) in memo
-            ):
-                val = memo[(n, k)] = self._step(n, k)
-            else:
-                self._fill(n, k)
-                val = memo[(n, k)]
+            self._fill(n, k)
+            val = memo[(n, k)]
         return val
-
-    def _step(self, n: int, k: int):
-        """One recurrence step; (n-1, k-1) and (n-1, k) must be at hand."""
-        w = self.weight(n - 1) if self.kind == "first" else self.weight(k)
-        return self.entry(n - 1, k - 1) + w * self.entry(n - 1, k)
 
     def _fill(self, n: int, k: int):
         """Memoize (n, k) and every missing entry it depends on, row by row
@@ -210,7 +200,8 @@ class StirlingTable:
         for i in range(low, n + 1):
             for j in band(i):
                 if (i, j) not in memo:
-                    memo[(i, j)] = self._step(i, j)
+                    w = self.weight(i - 1) if self.kind == "first" else self.weight(j)
+                    memo[(i, j)] = self.entry(i - 1, j - 1) + w * self.entry(i - 1, j)
 
 
 _TABLES: dict = {}

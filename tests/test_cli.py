@@ -287,3 +287,19 @@ def test_worker_count_is_capped_at_cpu_count(monkeypatch):
     assert cli._worker_count(10 ** 9) == 4
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._worker_count(8) == 1
+
+
+def test_verify_jobs_runs_the_pool_when_cpus_allow(monkeypatch, capsys):
+    # pin the CPU count so the process-pool path runs on every host
+    started = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code, out, _ = run_cli(capsys, "verify", "gtrudi", "--jobs", "2", "--format", "json")
+    assert code == 0 and started == [2]
+    assert json.loads(out)["cases"] == 50
