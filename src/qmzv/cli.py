@@ -61,9 +61,12 @@ class _Parser(argparse.ArgumentParser):
 def _parse_qpoint(text: str):
     if text == "symbolic":
         return SymbolicQ()
-    if text.startswith("root:"):
-        return RootOfUnityQ(int(text[len("root:"):]))
-    return RationalQ(Fraction(text))
+    try:
+        if text.startswith("root:"):
+            return RootOfUnityQ(int(text[len("root:"):]))
+        return RationalQ(Fraction(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BadParams(f"bad q point {text!r}: {exc}") from exc
 
 
 def _format_value(v) -> str:
@@ -139,6 +142,10 @@ def cmd_table(args) -> int:
     if args.table == "zeta":
         if args.n is None:
             raise BadParams("table zeta needs --n")
+        if args.n < 1:
+            raise BadParams("table zeta needs --n >= 1")
+        if args.s < 1:
+            raise BadParams("need s >= 1")
         values = [zeta._zeta_multi(args.n, m, args.s) for m in range(args.n)]
         header = ["m", "value"] + (["approx"] if approx else [])
         rows = [

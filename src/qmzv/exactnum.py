@@ -1,5 +1,7 @@
 """Exact arithmetic kernel: rationals, dense polynomials, truncated power
-series, and determinant routines over generic commutative coefficient rings.
+series, determinant routines, and the two tuple-sum enumerators
+(``tuple_product_sum`` over increasing index tuples, ``subset_product_sums``
+over all subsets) over generic commutative coefficient rings.
 
 Scalars are plain ints and ``fractions.Fraction``.  A "ring element" below is
 any immutable value supporting ``+``, ``-``, ``*`` and ``== 0`` against the
@@ -449,6 +451,59 @@ def series_exp(f: TruncSeries) -> TruncSeries:
                 acc = acc + j * (fj * out[k - j])
         out.append(acc / k if not isinstance(acc, int) else Fraction(acc, k))
     return TruncSeries(f.order, out)
+
+
+def tuple_product_sum(rows: Sequence[Sequence], strict: bool = True):
+    """Sum of rows[0][i_1] * ... * rows[m-1][i_m] over the index tuples
+    i_1 < ... < i_m (i_1 <= ... <= i_m when ``strict`` is false) into rows
+    of equal length.
+
+    A literal enumeration on an explicit stack, so m has no recursion
+    limit: each prefix product is computed once and shared by every tuple
+    that extends it, and each product starts from its first factor.  Zero
+    factors give 1 (the empty product); no tuple gives 0.
+    """
+    m = len(rows)
+    if m == 0:
+        return 1
+    step = 1 if strict else 0
+    ends = [len(rows[0]) - step * (m - 1 - d) for d in range(m)]
+    total = None
+    stack = [(0, 0, None)]  # (depth, first index, product of the factors above)
+    while stack:
+        d, start, prefix = stack.pop()
+        row = rows[d]
+        if d == m - 1:
+            for i in range(start, ends[d]):
+                p = row[i] if prefix is None else prefix * row[i]
+                total = p if total is None else total + p
+        else:
+            # pushed last to first, so tuples are summed in lexicographic order
+            for i in range(ends[d] - 1, start - 1, -1):
+                p = row[i] if prefix is None else prefix * row[i]
+                stack.append((d + 1, i + step, p))
+    return 0 if total is None else total
+
+
+def subset_product_sums(values: Sequence) -> list:
+    """``sums[k]`` = sum over the k-subsets of ``values`` of their products,
+    for k = 0..len(values), with sums[0] = 1.
+
+    One literal sweep of all 2^N subsets on an explicit stack; each subset's
+    product extends its parent's by one factor.
+    """
+    sums = [1] + [0] * len(values)
+    stack = [(0, 0, None)]  # (next position, subset size, product so far)
+    while stack:
+        pos, size, prod = stack.pop()
+        if pos == len(values):
+            if size:
+                sums[size] = sums[size] + prod
+            continue
+        v = values[pos]
+        stack.append((pos + 1, size + 1, v if prod is None else prod * v))
+        stack.append((pos + 1, size, prod))
+    return sums
 
 
 def _check_square(rows):

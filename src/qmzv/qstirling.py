@@ -22,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .cyclo import CycloCtx, cyclo_ctx
-from .exactnum import UniPoly
+from .exactnum import UniPoly, subset_product_sums, tuple_product_sum
 from .util import CheckResult
 
 
@@ -41,9 +42,16 @@ class QPoint:
     def one(self):
         raise NotImplementedError
 
+    def gen(self):
+        """q itself as an element of the target ring."""
+        raise NotImplementedError
+
     def qnum(self, i: int):
         """The q-number [i]_q = 1 + q + ... + q^(i-1) in the target ring."""
-        raise NotImplementedError
+        acc, q = self.zero(), self.gen()
+        for _ in range(i):
+            acc = acc * q + 1
+        return acc
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,9 @@ class SymbolicQ(QPoint):
 
     def one(self):
         return UniPoly((1,))
+
+    def gen(self):
+        return UniPoly((0, 1))
 
     def qnum(self, i: int):
         return UniPoly((1,) * i)
@@ -75,11 +86,8 @@ class RationalQ(QPoint):
     def one(self):
         return Fraction(1)
 
-    def qnum(self, i: int):
-        acc = Fraction(0)
-        for _ in range(i):
-            acc = acc * self.value + 1
-        return acc
+    def gen(self):
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -98,12 +106,8 @@ class RootOfUnityQ(QPoint):
     def one(self):
         return self.ctx.one()
 
-    def qnum(self, i: int):
-        z = self.ctx.zeta()
-        acc = self.ctx.zero()
-        for _ in range(i):
-            acc = acc * z + 1
-        return acc
+    def gen(self):
+        return self.ctx.zeta()
 
 
 def qnum(i: int, q: QPoint):
@@ -112,13 +116,23 @@ def qnum(i: int, q: QPoint):
     return q.qnum(i)
 
 
+def qnums_from(q: QPoint, start: int):
+    """Yield [start]_q, [start+1]_q, ..., each from the one before by
+    [i]_q = q [i-1]_q + 1."""
+    x = q.gen()
+    v = q.qnum(start)
+    while True:
+        yield v
+        v = v * x + 1
+
+
 def qfact(i: int, q: QPoint):
     """q-factorial [i]_q! with [0]_q! = 1."""
     if i < 0:
         raise BadParams("q-factorial index must be >= 0")
     acc = q.one()
-    for j in range(1, i + 1):
-        acc = acc * q.qnum(j)
+    for qn in islice(qnums_from(q, 1), i):
+        acc = acc * qn
     return acc
 
 
@@ -134,8 +148,8 @@ def falling_product(n: int, r: int, s: int, q: QPoint) -> UniPoly:
         raise BadParams("need n >= r")
     one = q.one()
     poly = UniPoly([0] * r + [one])
-    for i in range(r, n):
-        poly = poly * UniPoly((-(q.qnum(i) ** s), one))
+    for qn in islice(qnums_from(q, r), n - r):
+        poly = poly * UniPoly((-(qn ** s), one))
     return poly
 
 
@@ -156,13 +170,18 @@ class StirlingTable:
         self.s = s
         self.q = q
         self._memo = {}
+        self._qnums = {0: q.zero()}
         self._weights = {}
 
     def weight(self, i: int):
         """([i]_q)^s, the recurrence multiplier."""
         w = self._weights.get(i)
         if w is None:
-            w = self._weights[i] = self.q.qnum(i) ** self.s
+            qnums = self._qnums
+            x = self.q.gen()
+            for j in range(len(qnums), i + 1):
+                qnums[j] = qnums[j - 1] * x + 1
+            w = self._weights[i] = qnums[i] ** self.s
         return w
 
     def entry(self, n: int, k: int):
@@ -233,69 +252,13 @@ def _invert(v):
     return v.inverse()
 
 
-def _subset_product_sum(values, size: int):
-    """Sum over strictly increasing index tuples of ``size`` chosen values of
-    the product of the chosen values (literal enumeration, prefix-shared)."""
-    n = len(values)
-    if size < 0 or size > n:
-        return 0
-    if size == 0:
-        return 1
-    total = 0
-
-    def rec(start, remaining, prefix):
-        nonlocal total
-        for i in range(start, n - remaining + 1):
-            p = prefix * values[i]
-            if remaining == 1:
-                total = total + p
-            else:
-                rec(i + 1, remaining - 1, p)
-
-    rec(0, size, 1)
-    return total
-
-
 @lru_cache(maxsize=None)
 def _chosen_product_sums(n: int, r: int, s: int, q: QPoint):
     """Bucketed subset sweep: index j holds the sum over all strictly
     increasing j-tuples from { ([i]_q)^s : r <= i <= n-1 } of the tuple
     product."""
     tab = _table("first", r, s, q)
-    values = [tab.weight(i) for i in range(r, n)]
-    buckets = [0] * (len(values) + 1)
-    buckets[0] = 1
-
-    def rec(pos, size, prefix):
-        if pos == len(values):
-            if size:
-                buckets[size] = buckets[size] + prefix
-            return
-        rec(pos + 1, size, prefix)
-        rec(pos + 1, size + 1, prefix * values[pos])
-
-    rec(0, 0, 1)
-    return tuple(buckets)
-
-
-@lru_cache(maxsize=None)
-def _complement_product_sums(n: int, r: int, s: int, q: QPoint):
-    """Bucketed subset sweep dual to :func:`_chosen_product_sums`: index j
-    holds the sum over all j-subsets S of [r, n-1] of the product of the
-    weights of the indices *outside* S."""
-    tab = _table("first", r, s, q)
-    values = [tab.weight(i) for i in range(r, n)]
-    buckets = [0] * (len(values) + 1)
-
-    def rec(pos, skipped, prefix):
-        if pos == len(values):
-            buckets[skipped] = buckets[skipped] + prefix
-            return
-        rec(pos + 1, skipped + 1, prefix)
-        rec(pos + 1, skipped, prefix * values[pos])
-
-    rec(0, 0, 1)
-    return tuple(buckets)
+    return tuple(subset_product_sums([tab.weight(i) for i in range(r, n)]))
 
 
 def stirling1_closed(n: int, m: int, r: int = 1, s: int = 1, q: QPoint = SymbolicQ()):
@@ -318,36 +281,15 @@ def stirling1_closed(n: int, m: int, r: int = 1, s: int = 1, q: QPoint = Symboli
     if s < 1:
         raise BadParams("need s >= 1")
     if isinstance(q, SymbolicQ):
-        recip = _complement_product_sums(n, r, s, q)[m - r]
+        # the (m-r)-subsets' complements are exactly the (n-m)-subsets
+        recip = _chosen_product_sums(n, r, s, q)[n - m]
     else:
         tab = _table("first", r, s, q)
         w = (qfact(n - 1, q) / qfact(r - 1, q)) ** s
         inv_values = [_invert(tab.weight(i)) for i in range(r, n)]
-        recip = w * _subset_product_sum(inv_values, m - r)
+        recip = w * tuple_product_sum([inv_values] * (m - r))
     prod = _chosen_product_sums(n, r, s, q)[n - m]
     return recip, prod
-
-
-def _monotone_product_sum(lo: int, hi: int, length: int, weight):
-    """Sum over nondecreasing tuples lo <= i_1 <= ... <= i_length <= hi of
-    the product of the weights."""
-    if length == 0:
-        return 1
-    if hi < lo:
-        return 0
-    total = 0
-
-    def rec(start, remaining, prefix):
-        nonlocal total
-        for i in range(start, hi + 1):
-            p = prefix * weight(i)
-            if remaining == 1:
-                total = total + p
-            else:
-                rec(i, remaining - 1, p)
-
-    rec(lo, length, 1)
-    return total
 
 
 def stirling2_iterated(n: int, k: int, r: int = 1, s: int = 1, q: QPoint = SymbolicQ()):
@@ -388,7 +330,8 @@ def stirling2_iterated(n: int, k: int, r: int = 1, s: int = 1, q: QPoint = Symbo
         return v
 
     nested = term(k - r, n - k)
-    monotone = _monotone_product_sum(r, k, n - k, tab.weight)
+    weights = [tab.weight(i) for i in range(r, k + 1)]
+    monotone = tuple_product_sum([weights] * (n - k), strict=False)
     return nested, monotone
 
 
@@ -425,8 +368,16 @@ def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = Symbolic
 
 
 @lru_cache(maxsize=None)
+def _rstirling1_columns(r: int) -> dict:
+    """Columns k >= r of the classical r-Stirling triangle of the first kind,
+    grown downward by :func:`rstirling1`; column k lists rows 0..len-1."""
+    return {}
+
+
 def rstirling1(n: int, k: int, r: int) -> int:
-    """Classical r-Stirling number of the first kind (level 1, q = 1)."""
+    """Classical r-Stirling number of the first kind (level 1, q = 1), from
+    the integer recurrence [n, k] = [n-1, k-1] + (n-1) [n-1, k], filled
+    column by column from k = r without recursion."""
     if r < 1:
         raise BadParams("need r >= 1")
     if k < 0 or n < 0 or k > n:
@@ -435,4 +386,13 @@ def rstirling1(n: int, k: int, r: int) -> int:
         return 1
     if k < r:
         return 0
-    return rstirling1(n - 1, k - 1, r) + (n - 1) * rstirling1(n - 1, k, r)
+    cols = _rstirling1_columns(r)
+    left = None  # column r - 1 vanishes below its diagonal
+    for j in range(r, k + 1):
+        col = cols.get(j)
+        if col is None:
+            col = cols[j] = [0] * j + [1]
+        for i in range(len(col), n + 1):
+            col.append((0 if left is None else left[i - 1]) + (i - 1) * col[i - 1])
+        left = col
+    return cols[k][n]

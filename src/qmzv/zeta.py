@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 from .cyclo import as_rational, cyclo_ctx
 from .exactnum import (
@@ -36,8 +36,18 @@ from .exactnum import (
     det_cofactor,
     poly_interpolate,
     series_log,
+    subset_product_sums,
+    tuple_product_sum,
 )
-from .qstirling import BadParams, RootOfUnityQ, qfact, rstirling1, stirling1
+from .qstirling import (
+    BadParams,
+    RationalQ,
+    RootOfUnityQ,
+    qfact,
+    qnums_from,
+    rstirling1,
+    stirling1,
+)
 from .seqlib import (
     degen_bernoulli,
     elem_from_power_sums,
@@ -150,21 +160,7 @@ def zeta_brute(n: int, m: int, s: int, budget: int = DEFAULT_BRUTE_BUDGET) -> Ze
         raise BudgetExceeded(f"{count} tuples exceed budget {budget}")
     if count == 0:
         return ZetaValue(Fraction(0), "brute", (n, m, s))
-    ctx = cyclo_ctx(n)
-    cs = _inv_pows(n, s)
-    total = ctx.zero()
-
-    def rec(start, depth, prefix):
-        nonlocal total
-        remaining = m - depth
-        for i in range(start, (n - 1) - remaining + 1):
-            p = prefix * cs[i]
-            if remaining == 1:
-                total = total + p
-            else:
-                rec(i + 1, depth + 1, p)
-
-    rec(0, 0, ctx.one())
+    total = tuple_product_sum([_inv_pows(n, s)] * m)
     return ZetaValue(as_rational(total), "brute", (n, m, s))
 
 
@@ -246,19 +242,7 @@ def rstirling_inner_poly(m: int) -> UniPoly:
 @lru_cache(maxsize=None)
 def _reciprocal_tuple_sums(m: int):
     """T_k = sum over m+1 <= i_1 < ... < i_{k+1} <= 2m+1 of 1/(i_1...i_{k+1})."""
-    values = [Fraction(1, i) for i in range(m + 1, 2 * m + 2)]
-    buckets = [Fraction(0)] * (len(values) + 1)
-
-    def rec(pos, size, prefix):
-        if pos == len(values):
-            if size:
-                buckets[size] += prefix
-            return
-        rec(pos + 1, size, prefix)
-        rec(pos + 1, size + 1, prefix * values[pos])
-
-    rec(0, 0, Fraction(1))
-    return tuple(buckets[k + 1] for k in range(m + 1))
+    return tuple(subset_product_sums([Fraction(1, i) for i in range(m + 1, 2 * m + 2)])[1:])
 
 
 def zeta_m2_rstirling(n: int, m: int):
@@ -336,38 +320,25 @@ def harmonic_q_series(n: int, parts, q=None):
         ctx = cyclo_ctx(n)
         inv = _inv_qnums(n)
 
-        def factor(pos, i):
-            sj = parts[pos]
+        def factor(sj, i):
             return ctx.zeta_power((sj - 1) * i) * inv[i - 1] ** sj
 
-        total = ctx.zero()
-        one = ctx.one()
+        zero = ctx.zero()
     else:
         q = Fraction(q)
-        qnums = [None] + [sum(q ** t for t in range(i)) for i in range(1, n)]
+        qnums = list(islice(qnums_from(RationalQ(q), 1), n - 1))
 
-        def factor(pos, i):
-            sj = parts[pos]
-            return q ** ((sj - 1) * i) / qnums[i] ** sj
+        def factor(sj, i):
+            return q ** ((sj - 1) * i) / qnums[i - 1] ** sj
 
-        total = Fraction(0)
-        one = Fraction(1)
+        zero = Fraction(0)
 
     if m > n - 1:
-        return total
-
-    def rec(pos, hi, prefix):
-        nonlocal total
-        remaining = m - pos
-        for i in range(hi, remaining - 1, -1):
-            p = prefix * factor(pos, i)
-            if remaining == 1:
-                total = total + p
-            else:
-                rec(pos + 1, i - 1, p)
-
-    rec(0, n - 1, one)
-    return total
+        return zero
+    # one row per distinct part; rows list i = n-1 down to 1, so the
+    # decreasing index tuples are the increasing position tuples
+    rows = {sj: [factor(sj, i) for i in range(n - 1, 0, -1)] for sj in set(parts)}
+    return tuple_product_sum([rows[sj] for sj in parts])
 
 
 def zeta_1s_degenerate_bernoulli(n: int, s: int) -> Fraction:

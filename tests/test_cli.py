@@ -100,6 +100,18 @@ def test_table_zeta_matches_closed_form(capsys):
     assert got == [str(zeta_m1_closed(6, m)) for m in range(6)]
 
 
+def test_table_zeta_rejects_bad_n_and_s(capsys):
+    for argv in (("--n", "5", "--s", "-1"), ("--n", "5", "--s", "0"), ("--n", "0"), ("--n", "-3")):
+        code, out, err = run_cli(capsys, "table", "zeta", *argv)
+        assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_table_bad_q_point_exits_one(capsys):
+    for q in ("1/0", "abc", "root:x"):
+        code, out, err = run_cli(capsys, "table", "stirling1", "--n-max", "2", "--q", q)
+        assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_table_stirling_classical(capsys):
     code, out, _ = run_cli(
         capsys, "table", "stirling1", "--r", "1", "--s", "1", "--q", "1",

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
+from math import factorial, prod
 
 import pytest
 
@@ -20,7 +22,10 @@ from qmzv.exactnum import (
     series_exp,
     series_inv,
     series_log,
+    subset_product_sums,
+    tuple_product_sum,
 )
+from qmzv.zeta import harmonic_q_series
 
 F = Fraction
 
@@ -337,3 +342,89 @@ def test_interpolate_zeta_single_row_samples():
         pts.append((F(n), val))
     p = poly_interpolate(pts)
     assert p == UniPoly((F(-5, 12), F(1, 2), F(-1, 12)))
+
+
+# ------------------------------------------------------------ tuple sums
+
+
+def test_tuple_product_sum_matches_literal_combinations():
+    rng = random.Random(11)
+    for _ in range(40):
+        size = rng.randint(1, 7)
+        m = rng.randint(1, 4)
+        rows = [[rand_frac(rng) for _ in range(size)] for _ in range(m)]
+        strict = sum(
+            prod(rows[d][i] for d, i in enumerate(idx))
+            for idx in combinations(range(size), m)
+        )
+        weak = sum(
+            prod(rows[d][i] for d, i in enumerate(idx))
+            for idx in combinations_with_replacement(range(size), m)
+        )
+        assert tuple_product_sum(rows) == strict
+        assert tuple_product_sum(rows, strict=False) == weak
+
+
+def test_tuple_product_sum_edge_cases():
+    row = [F(2), F(3), F(5)]
+    assert tuple_product_sum([]) == 1
+    assert tuple_product_sum([], strict=False) == 1
+    assert tuple_product_sum([row] * 4) == 0
+    assert tuple_product_sum([row] * 3) == 30
+    assert tuple_product_sum([row] * 4, strict=False) == sum(
+        prod(c) for c in combinations_with_replacement(row, 4)
+    )
+    assert tuple_product_sum([[]]) == 0
+    assert tuple_product_sum([[], []], strict=False) == 0
+
+
+class _Counted:
+    """Fraction wrapper that counts ring multiplications."""
+
+    muls = 0
+
+    def __init__(self, v):
+        self.v = v
+
+    def __mul__(self, other):
+        _Counted.muls += 1
+        return _Counted(self.v * other.v)
+
+    def __add__(self, other):
+        return _Counted(self.v + other.v)
+
+    def __radd__(self, other):
+        return _Counted(other + self.v)
+
+
+def test_tuple_sums_share_prefixes_and_start_from_the_first_factor():
+    values = [_Counted(F(k)) for k in (2, 3, 5, 7)]
+    _Counted.muls = 0
+    assert tuple_product_sum([values] * 3).v == 2 * 3 * 5 + 2 * 3 * 7 + 2 * 5 * 7 + 3 * 5 * 7
+    # 3 shared pair prefixes, then one multiplication per 3-tuple
+    assert _Counted.muls == 3 + 4
+    _Counted.muls = 0
+    sums = subset_product_sums(values)
+    assert [getattr(c, "v", c) for c in sums] == [1, 17, 101, 247, 210]
+    # one multiplication per subset of size >= 2
+    assert _Counted.muls == 2 ** 4 - 1 - 4
+
+
+def test_subset_product_sums_match_literal_combinations():
+    rng = random.Random(12)
+    for size in range(0, 9):
+        values = [rand_frac(rng) for _ in range(size)]
+        want = [sum(prod(c) for c in combinations(values, k)) for k in range(size + 1)]
+        assert subset_product_sums(values) == want
+
+
+def test_subset_product_sums_edge_cases():
+    assert subset_product_sums([]) == [1]
+    assert subset_product_sums([F(7)]) == [1, 7]
+    assert subset_product_sums([F(2), F(3)]) == [1, 5, 6]
+
+
+def test_harmonic_q_series_deep_tuple_has_no_recursion_limit():
+    # the only decreasing 1099-tuple below 1100 is 1099 > ... > 1; at q = 1
+    # every factor is 1/i
+    assert harmonic_q_series(1100, (1,) * 1099, q=1) == Fraction(1, factorial(1099))

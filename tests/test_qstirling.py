@@ -353,3 +353,12 @@ def test_bottom_up_fill_computes_what_the_recursion_computes():
             for n, k in requests:
                 assert table.entry(n, k) == ref_entry(n, k)
                 assert table._memo == ref_memo
+
+
+def test_rstirling_deep_entry_has_no_recursion_limit():
+    # [n, 2]_1 is the unsigned Stirling number (n-1)! H_(n-1)
+    from math import factorial
+
+    from qmzv.seqlib import harmonic
+
+    assert rstirling1(1500, 2, 1) == factorial(1499) * harmonic(1499)
