@@ -110,6 +110,19 @@ class RootOfUnityQ(QPoint):
         return self.ctx.zeta()
 
 
+def parse_qpoint(text: str) -> QPoint:
+    """The q-point named by ``text``: ``symbolic``, ``root:<n>`` or a
+    rational such as ``2/3``."""
+    if text == "symbolic":
+        return SymbolicQ()
+    try:
+        if text.startswith("root:"):
+            return RootOfUnityQ(int(text[len("root:"):]))
+        return RationalQ(Fraction(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BadParams(f"bad q point {text!r}: {exc}") from exc
+
+
 def qnum(i: int, q: QPoint):
     if i < 0:
         raise BadParams("q-number index must be >= 0")
@@ -267,29 +280,26 @@ def stirling1_closed(n: int, m: int, r: int = 1, s: int = 1, q: QPoint = Symboli
     Returns ``(via_reciprocal_sum, via_product_sum)``:
 
     * the ([n-1]_q!/[r-1]_q!)^s-weighted sum of 1/([i_1]...[i_{m-r}])^s over
-      strictly increasing tuples from [r, n-1] (at a symbolic q the weight is
-      cancelled against the common denominator, keeping everything
-      polynomial; at a rational or root-of-unity q it is evaluated literally
-      with field divisions), and
+      strictly increasing tuples from [r, n-1], and
     * the plain elementary-symmetric sum of ([i_1]...[i_{n-m}])^s.
 
-    Both must agree with :func:`stirling1`; they are exponential-cost oracle
-    paths, not production paths.
+    The reciprocal form is evaluated literally, with field divisions, at a
+    rational or root-of-unity q.  At a symbolic q the cancelled weight turns
+    each (m-r)-subset into its complementary (n-m)-subset, so both values
+    are the product sum and only the comparison with :func:`stirling1` is a
+    real check.  These are exponential-cost oracle paths.
     """
     if not 1 <= r <= m <= n - 1:
         raise BadParams("need r <= m <= n-1")
     if s < 1:
         raise BadParams("need s >= 1")
-    if isinstance(q, SymbolicQ):
-        # the (m-r)-subsets' complements are exactly the (n-m)-subsets
-        recip = _chosen_product_sums(n, r, s, q)[n - m]
-    else:
-        tab = _table("first", r, s, q)
-        w = (qfact(n - 1, q) / qfact(r - 1, q)) ** s
-        inv_values = [_invert(tab.weight(i)) for i in range(r, n)]
-        recip = w * tuple_product_sum([inv_values] * (m - r))
     prod = _chosen_product_sums(n, r, s, q)[n - m]
-    return recip, prod
+    if isinstance(q, SymbolicQ):
+        return prod, prod
+    tab = _table("first", r, s, q)
+    w = (qfact(n - 1, q) / qfact(r - 1, q)) ** s
+    inv_values = [_invert(tab.weight(i)) for i in range(r, n)]
+    return w * tuple_product_sum([inv_values] * (m - r)), prod
 
 
 def stirling2_iterated(n: int, k: int, r: int = 1, s: int = 1, q: QPoint = SymbolicQ()):
@@ -344,7 +354,7 @@ def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = Symbolic
     """
     first = _table("first", r, s, q)
     second = _table("second", r, s, q)
-    result = CheckResult(name=f"orthogonality(r={r}, s={s})")
+    result = CheckResult(["orthogonality"])
     for n in range(n_max + 1):
         for m in range(n_max + 1):
             hi = max(n, m)

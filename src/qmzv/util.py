@@ -19,11 +19,12 @@ def fractionize(x):
 class CheckResult:
     """Outcome of a verification sweep: case count plus structured failures.
 
+    ``routes`` labels the evaluation routes the sweep compares.
     ``failures`` holds one dict per failed case (parameters, expected,
     actual); an empty list means the sweep passed.
     """
 
-    name: str
+    routes: list
     cases: int = 0
     failures: list = field(default_factory=list)
 

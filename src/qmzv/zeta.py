@@ -359,7 +359,7 @@ def harmonic_bernoulli_identity_check(n: int, j: int) -> CheckResult:
     """In-field identity linking the single-index harmonic q-series to the
     degenerate Bernoulli numbers:
     z_n(zeta_n; j) = -(beta_j(1/n)/j!) (n (1 - zeta_n))^j."""
-    result = CheckResult(name="harmonic-bernoulli")
+    result = CheckResult(["harmonic-bernoulli"])
     ctx = cyclo_ctx(n)
     lhs = harmonic_q_series(n, (j,))
     scale = (ctx.one() - ctx.zeta()) * n
@@ -372,7 +372,7 @@ def harmonic_decomposition_check(n: int, s: int) -> CheckResult:
     """Binomial decomposition of the single-row zeta value into harmonic
     q-series with (1-q)^j denominators, verified exactly in Q(zeta_n):
     Z_n(q; 1, s) = sum_j C(s-1, j-1) z_n(q; j) / (1-q)^j at q = zeta_n."""
-    result = CheckResult(name="harmonic-decomposition")
+    result = CheckResult(["harmonic-decomposition"])
     ctx = cyclo_ctx(n)
     lhs = ctx.zero()
     for c in _inv_pows(n, s):
@@ -464,7 +464,7 @@ def logf_identity_check(s: int, trunc: int = 12) -> CheckResult:
             total = total - lg
     rhs = total * Fraction((-1) ** (s - 1))
 
-    result = CheckResult(name=f"logf(s={s})")
+    result = CheckResult(["logf", "product"])
     shifted = []
     for n_idx, u in enumerate(rhs.coeffs):
         if not isinstance(u, UniPoly):

@@ -1,59 +1,32 @@
 """Acceptance suite: every criterion at its stated range, exact equality only.
 
 Each test prints one pass line (visible with ``pytest -s`` or on failure);
-tolerances are zero everywhere, so the asserts are plain ``==`` on Fractions,
-polynomials, and field elements.
+tolerances are zero everywhere, so every check is a plain ``==`` on
+Fractions, polynomials, and field elements.  Criteria 2-8 and 10 run the
+case grids of :mod:`qmzv.verify`, the same cases ``qmzv verify`` runs.
 """
 
-import math
 import random
 from fractions import Fraction
 
 from qmzv.cyclo import cyclo_ctx, cyclotomic_poly, product_one_minus_powers
 from qmzv.exactnum import UniPoly, det_fraction_free, det_hessenberg
-from qmzv.qstirling import (
-    RootOfUnityQ,
-    SymbolicQ,
-    orthogonality_check,
-    stirling1,
-    stirling1_closed,
-    stirling2,
-    stirling2_iterated,
-)
-from qmzv.seqlib import (
-    bell_complete,
-    bell_partition_sum,
-    norlund,
-    seq_transform_forward,
-    seq_transform_inverse,
-)
-from qmzv.zeta import (
-    REFERENCE_CONSTANT_TERMS,
-    REFERENCE_POLYNOMIALS,
-    _zeta_multi,
-    _zeta_single,
-    harmonic_bernoulli_identity_check,
-    harmonic_decomposition_check,
-    logf_identity_check,
-    zeta_1s_det,
-    zeta_1s_degenerate_bernoulli,
-    zeta_bell,
-    zeta_brute,
-    zeta_det,
-    zeta_m1_closed,
-    zeta_m2_closed,
-    zeta_m2_rstirling,
-    zeta_m3_closed,
-    zeta_poly_in_n,
-    zeta_row_from_column,
-    zeta_via_stirling,
-)
+from qmzv.qstirling import SymbolicQ, stirling1, stirling1_closed, stirling2, stirling2_iterated
+from qmzv.seqlib import bell_complete, bell_partition_sum
+from qmzv.verify import CASES, random_sequence, run_case, suite_cases, transform_round_trip
+from qmzv.zeta import _zeta_multi, zeta_brute, zeta_m1_closed
 
 F = Fraction
 
 
 def _report(number, label):
     print(f"[acceptance] criterion {number:2d} ({label}): PASS")
+
+
+def _assert_cases_pass(cases):
+    for case in cases:
+        res = run_case(case)
+        assert res.passed, (case[0], res.first_failure())
 
 
 def test_criterion_01_single_level_binomial_row():
@@ -67,101 +40,54 @@ def test_criterion_01_single_level_binomial_row():
 
 
 def test_criterion_02_level_two_closed_form():
-    for n in range(2, 26):
-        for m in range(1, 13):
-            closed = zeta_m2_closed(n, m)
-            assert closed == _zeta_multi(n, m, 2), (n, m)
-            via_rst, via_tuples = zeta_m2_rstirling(n, m)
-            assert via_rst == closed and via_tuples == closed, (n, m)
-    for m in range(1, 5):
-        assert zeta_poly_in_n(m, 2) == REFERENCE_POLYNOMIALS[(m, 2)], m
+    _assert_cases_pass(suite_cases("s2", n_max=25, m_max=12))
     _report(2, "s = 2 closed form + both r-Stirling variants, n <= 25, m <= 12")
 
 
 def test_criterion_03_level_three_closed_form():
-    for n in range(2, 19):
-        for m in range(1, 7):
-            assert zeta_m3_closed(n, m) == _zeta_multi(n, m, 3), (n, m)
-    for m in range(1, 5):
-        assert zeta_poly_in_n(m, 3) == REFERENCE_POLYNOMIALS[(m, 3)], m
+    _assert_cases_pass(suite_cases("s3", n_max=18, m_max=6))
     _report(3, "s = 3 closed form, n <= 18, m <= 6, incl. the degree-8 factor")
 
 
 def test_criterion_04_single_row_polynomials_and_constants():
-    for s in range(2, 10):
-        assert zeta_poly_in_n(1, s) == REFERENCE_POLYNOMIALS[(1, s)], s
-    for s in range(1, 10):
-        const = REFERENCE_POLYNOMIALS[(1, s)].coeff(0)
-        assert const == F((-1) ** (s - 1)) * norlund(s) / math.factorial(s), s
-        if s <= len(REFERENCE_CONSTANT_TERMS):
-            assert const == REFERENCE_CONSTANT_TERMS[s - 1], s
+    _assert_cases_pass(suite_cases("polynomials"))
     _report(4, "Z(zeta; 1, s) polynomials s = 2..9; constants = +-B_s^(s)/s!")
 
 
 def test_criterion_05_level_four_displays():
-    assert zeta_poly_in_n(1, 4) == REFERENCE_POLYNOMIALS[(1, 4)]
-    assert zeta_poly_in_n(2, 4) == REFERENCE_POLYNOMIALS[(2, 4)]
+    assert CASES["reference_poly"](1, 4).passed
+    assert CASES["reference_poly"](2, 4).passed
     _report(5, "s = 4 displays for m = 1 and m = 2")
 
 
 def test_criterion_06_degenerate_bernoulli_family():
-    for n in range(2, 21):
-        for s in range(1, 9):
-            assert zeta_1s_degenerate_bernoulli(n, s) == zeta_brute(n, 1, s).value, (n, s)
-        for j in range(1, 7):
-            assert harmonic_bernoulli_identity_check(n, j).passed, (n, j)
-        for s in range(1, 9):
-            assert harmonic_decomposition_check(n, s).passed, (n, s)
+    _assert_cases_pass(suite_cases("dgber", n_max=20, s_max=8))
+    _assert_cases_pass(suite_cases("btt26", n_max=20, s_max=8))
     _report(6, "degenerate-Bernoulli value, in-field link, and decomposition, n <= 20")
 
 
 def test_criterion_07_determinant_and_bell_routes():
-    for n in range(2, 15):
-        for s in range(1, 4):
-            for m in range(1, 9):
-                ref = _zeta_multi(n, m, s)
-                assert zeta_bell(n, m, s).value == ref, ("bell", n, m, s)
-                assert zeta_det(n, m, s).value == ref, ("det", n, m, s)
-                assert zeta_via_stirling(n, m, s).value == ref, ("stirling", n, m, s)
-                assert zeta_row_from_column(n, m, s) == _zeta_single(n, m * s), (n, m, s)
-            assert zeta_1s_det(n, s) == _zeta_single(n, s), (n, s)
+    # budget=0 leaves the brute route out of this grid; brute over the same
+    # points is covered by test_zeta::test_route_agreement_sweep.
+    _assert_cases_pass(suite_cases("routes", n_max=14, m_max=8, s_max=3, budget=0))
     _report(7, "Bell/determinant/inverse-determinant routes, n <= 14, m <= 8, s <= 3")
 
 
 def test_criterion_08_orthogonality():
-    for r in (1, 2, 3):
-        for s in (1, 2, 3):
-            res = orthogonality_check(10, r=r, s=s, q=SymbolicQ())
-            assert res.passed, (r, s, res.first_failure())
-            res = orthogonality_check(10, r=r, s=s, q=RootOfUnityQ(7))
-            assert res.passed, (r, s, res.first_failure())
+    _assert_cases_pass(suite_cases("orthogonality", n_max=10))
     _report(8, "both orthogonality sums, n, m <= 10, (r, s) in {1,2,3}^2, symbolic and zeta_7")
 
 
 def test_criterion_09_sequence_transform_equivalences():
     rng = random.Random(2024)
     for trial in range(50):
-        length = rng.randint(1, 8)
-        a = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(length)]
-        b = []
-        for m in range(1, length + 1):
-            vals = {
-                route: seq_transform_forward(a, m, route=route)
-                for route in ("recurrence", "determinant", "partition")
-            }
-            assert len(set(vals.values())) == 1, (trial, m, vals)
-            b.append(vals["recurrence"])
-        for n in range(1, length + 1):
-            det = seq_transform_inverse(b, n, route="determinant")
-            rec = seq_transform_inverse(b, n, route="recurrence")
-            assert det == rec == a[n - 1], (trial, n)
+        res = transform_round_trip(random_sequence(rng))
+        assert res.passed, (trial, res.first_failure())
     _report(9, "all five transform routes agree on 50 random sequences; round trip")
 
 
 def test_criterion_10_log_generating_identity():
-    for s in (1, 2, 3):
-        res = logf_identity_check(s, 12)
-        assert res.passed, (s, res.first_failure())
+    _assert_cases_pass(suite_cases("logf", trunc=12))
     _report(10, "bivariate log identity, s = 1, 2, 3, truncation 12")
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qmzv import cli
+from qmzv import cli, verify
+from qmzv.util import CheckResult
 
 F = Fraction
 
@@ -104,6 +105,18 @@ def test_table_zeta_rejects_bad_n_and_s(capsys):
     for argv in (("--n", "5", "--s", "-1"), ("--n", "5", "--s", "0"), ("--n", "0"), ("--n", "-3")):
         code, out, err = run_cli(capsys, "table", "zeta", *argv)
         assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_table_zeta_n1_is_refused_like_value(capsys):
+    refusal = (1, "", "error: need n >= 2\n")
+    assert run_cli(capsys, "table", "zeta", "--n", "1") == refusal
+    assert run_cli(capsys, "value", "--n", "1", "--m", "0", "--s", "1") == refusal
+
+
+def test_table_negative_n_max_exits_one(capsys):
+    for kind in ("stirling1", "stirling2", "rstirling", "bernoulli"):
+        code, out, err = run_cli(capsys, "table", kind, "--n-max", "-1")
+        assert code == 1 and out == "" and err.startswith("error:"), kind
 
 
 def test_table_bad_q_point_exits_one(capsys):
@@ -212,9 +225,11 @@ def test_verify_small_suite_json(capsys):
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     def broken(n, m, s, budget):
-        return (False, "1", "2", ["broken"])
+        result = CheckResult(["broken"])
+        result.record(False, expected="1", actual="2")
+        return result
 
-    monkeypatch.setitem(cli._CASE_REGISTRY, "routes", broken)
+    monkeypatch.setitem(verify.CASES, "routes", broken)
     code, out, _ = run_cli(
         capsys, "verify", "routes", "--n-max", "3", "--m-max", "1", "--s-max", "1", "--format", "json"
     )

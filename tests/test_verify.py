@@ -1,0 +1,44 @@
+import json
+
+from qmzv import cli, verify
+from qmzv.util import CheckResult
+
+DEFAULT_COUNTS = dict(
+    routes=351, orthogonality=18, gtrudi=50, s2=156, s3=69, dgber=152, logf=3, polynomials=25, btt26=266,
+)
+
+
+def test_default_case_counts():
+    nones = dict(n_max=None, m_max=None, s_max=None, trunc=None, budget=None)
+    for suite, count in DEFAULT_COUNTS.items():
+        assert len(verify.suite_cases(suite)) == count, suite
+        # a bound given as None keeps the default
+        assert verify.suite_cases(suite, **nones) == verify.suite_cases(suite), suite
+
+
+def test_all_is_every_suite_in_registry_order():
+    assert list(verify.SUITES) == list(DEFAULT_COUNTS)
+    everything = verify.suite_cases("all")
+    assert len(everything) == 1090
+    assert everything == [case for name in verify.SUITES for case in verify.suite_cases(name)]
+
+
+def test_failing_identity_sweep_is_reported(capsys, monkeypatch):
+    def broken(r, s, qspec, n_max):
+        result = CheckResult(["orthogonality"])
+        result.record(True, identity=1, n=0, m=0)
+        result.record(False, identity=2, n=1, m=0)
+        return result
+
+    monkeypatch.setitem(verify.CASES, "orthogonality", broken)
+    code = cli.main(["verify", "orthogonality", "--n-max", "2", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert payload["cases"] == 18 and len(payload["failures"]) == 18
+    assert payload["failures"][0] == {
+        "case": "orthogonality r=1 s=1 q=root:7",
+        "params": {"r": 1, "s": 1, "qspec": "root:7", "n_max": 2},
+        "expected": "identity",
+        "actual": str({"identity": 2, "n": 1, "m": 0}),
+        "routes": ["orthogonality"],
+    }
