@@ -73,10 +73,16 @@ def _render_rows(fmt, header, rows, out, json_payload):
 
 
 def _budget(args) -> int:
+    """The brute-force tuple budget: ``--budget``, else ``QMZV_BUDGET``, else
+    the default; a negative budget is refused."""
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get("QMZV_BUDGET")
-    return int(env) if env else DEFAULT_BRUTE_BUDGET
+        budget = args.budget
+    else:
+        env = os.environ.get("QMZV_BUDGET")
+        budget = int(env) if env else DEFAULT_BRUTE_BUDGET
+    if budget < 0:
+        raise BadParams(f"budget must be >= 0, got {budget}")
+    return budget
 
 
 def cmd_value(args) -> int:

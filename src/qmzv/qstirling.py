@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from threading import RLock
 
 from .cyclo import CycloCtx, cyclo_ctx
 from .exactnum import UniPoly, subset_product_sums, tuple_product_sum
@@ -169,8 +170,10 @@ def falling_product(n: int, r: int, s: int, q: QPoint) -> UniPoly:
 class StirlingTable:
     """Memoized triangle of one kind of generalized q-Stirling numbers.
 
-    Growth is idempotent (every fill recomputes the same immutable value),
-    so concurrent readers are safe under the usual dict-atomicity rules.
+    Column k >= r is a list in which ``col[t]`` is entry (k + t, k), with the
+    diagonal 1 at t = 0.  Columns only grow, under one reentrant lock per
+    table, so a read that finds its entry never sees a half-written value and
+    racing fills append each entry once.
     """
 
     def __init__(self, kind: str, r: int, s: int, q: QPoint):
@@ -182,20 +185,25 @@ class StirlingTable:
         self.r = r
         self.s = s
         self.q = q
-        self._memo = {}
-        self._qnums = {0: q.zero()}
-        self._weights = {}
+        self._lock = RLock()
+        self._cols = [None] * r  # columns below r vanish off the diagonal
+        # _weights[i - r] is ([i]_q)^s: no recurrence multiplies by an index
+        # below r, so none of those is ever computed
+        self._weights = []
+        self._qnum = q.qnum(r - 1)  # [r - 1 + len(_weights)]_q
 
     def weight(self, i: int):
-        """([i]_q)^s, the recurrence multiplier."""
-        w = self._weights.get(i)
-        if w is None:
-            qnums = self._qnums
-            x = self.q.gen()
-            for j in range(len(qnums), i + 1):
-                qnums[j] = qnums[j - 1] * x + 1
-            w = self._weights[i] = qnums[i] ** self.s
-        return w
+        """([i]_q)^s for i >= r, the recurrence multiplier."""
+        if i < self.r:
+            raise BadParams("weight index must be >= r")
+        weights = self._weights
+        if i - self.r >= len(weights):
+            with self._lock:
+                x = self.q.gen()
+                while len(weights) <= i - self.r:
+                    self._qnum = self._qnum * x + 1
+                    weights.append(self._qnum ** self.s)
+        return weights[i - self.r]
 
     def entry(self, n: int, k: int):
         if k < 0 or n < 0 or k > n:
@@ -204,36 +212,31 @@ class StirlingTable:
             return self.q.one()
         if k < self.r:
             return 0
-        memo = self._memo
-        val = memo.get((n, k))
-        if val is None:
+        cols = self._cols
+        if k >= len(cols) or n - k >= len(cols[k]):
             self._fill(n, k)
-            val = memo[(n, k)]
-        return val
+        return cols[k][n - k]
 
     def _fill(self, n: int, k: int):
-        """Memoize (n, k) and every missing entry it depends on, row by row
-        from the bottom up, without recursion.
+        """Extend columns r..k, in order, so that column j reaches row
+        n - (k - j), without recursion.
 
-        Entry (i, j) depends on (i-1, j-1) and (i-1, j), so row i needs
-        columns k-(n-i)..k.  The memo is closed under dependencies, so the
-        fill starts above the first row found with nothing missing and
-        computes exactly the entries the plain recursion would.
+        Entry (i, j) depends on (i-1, j-1) and (i-1, j), so these rows are
+        exactly the dependency cone of (n, k): the fill memoizes what the
+        plain recursion would.
         """
-        memo = self._memo
-        r = self.r
-
-        def band(i):
-            return range(max(r, k - (n - i)), min(k, i - 1) + 1)
-
-        low = n
-        while low - 1 > r and any((low - 1, j) not in memo for j in band(low - 1)):
-            low -= 1
-        for i in range(low, n + 1):
-            for j in band(i):
-                if (i, j) not in memo:
-                    w = self.weight(i - 1) if self.kind == "first" else self.weight(j)
-                    memo[(i, j)] = self.entry(i - 1, j - 1) + w * self.entry(i - 1, j)
+        with self._lock:
+            cols = self._cols
+            while len(cols) <= k:
+                cols.append([self.q.one()])
+            first = self.kind == "first"
+            left = None  # column r - 1 vanishes below its diagonal
+            for j in range(self.r, k + 1):
+                col = cols[j]
+                for i in range(j + len(col), n - (k - j) + 1):
+                    w = self.weight(i - 1 if first else j)
+                    col.append((0 if left is None else left[i - j]) + w * col[-1])
+                left = col
 
 
 _TABLES: dict = {}
@@ -315,31 +318,14 @@ def stirling2_iterated(n: int, k: int, r: int = 1, s: int = 1, q: QPoint = Symbo
     if r < 1 or s < 1:
         raise BadParams("need r >= 1 and s >= 1")
     tab = _table("second", r, s, q)
-
-    pow_cache: dict = {}
-
-    def powval(t, e):
-        key = (t, e)
-        v = pow_cache.get(key)
-        if v is None:
-            v = pow_cache[key] = tab.weight(r + t) ** e
-        return v
-
-    memo: dict = {}
-
-    def term(t, u):
-        if t == 0:
-            return powval(0, u)
-        key = (t, u)
-        v = memo.get(key)
-        if v is None:
-            acc = 0
-            for i in range(u + 1):
-                acc = acc + powval(t, u - i) * term(t - 1, i)
-            v = memo[key] = acc
-        return v
-
-    nested = term(k - r, n - k)
+    depth = n - k
+    # level t holds term(t, u) for u = 0..depth, where term(0, u) = w_r^u and
+    # term(t, u) = sum_i w_(r+t)^(u-i) term(t-1, i)
+    level = [tab.weight(r) ** u for u in range(depth + 1)]
+    for t in range(1, k - r + 1):
+        pows = [tab.weight(r + t) ** e for e in range(depth + 1)]
+        level = [sum(pows[u - i] * level[i] for i in range(u + 1)) for u in range(depth + 1)]
+    nested = level[depth]
     weights = [tab.weight(i) for i in range(r, k + 1)]
     monotone = tuple_product_sum([weights] * (n - k), strict=False)
     return nested, monotone
@@ -377,32 +363,10 @@ def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = Symbolic
     return result
 
 
-@lru_cache(maxsize=None)
-def _rstirling1_columns(r: int) -> dict:
-    """Columns k >= r of the classical r-Stirling triangle of the first kind,
-    grown downward by :func:`rstirling1`; column k lists rows 0..len-1."""
-    return {}
-
-
 def rstirling1(n: int, k: int, r: int) -> int:
-    """Classical r-Stirling number of the first kind (level 1, q = 1), from
-    the integer recurrence [n, k] = [n-1, k-1] + (n-1) [n-1, k], filled
-    column by column from k = r without recursion."""
+    """Classical r-Stirling number of the first kind: the first-kind table at
+    level 1 and q = 1, where [n, k] = [n-1, k-1] + (n-1) [n-1, k].  It shares
+    that table's column store and lock."""
     if r < 1:
         raise BadParams("need r >= 1")
-    if k < 0 or n < 0 or k > n:
-        return 0
-    if n == k:
-        return 1
-    if k < r:
-        return 0
-    cols = _rstirling1_columns(r)
-    left = None  # column r - 1 vanishes below its diagonal
-    for j in range(r, k + 1):
-        col = cols.get(j)
-        if col is None:
-            col = cols[j] = [0] * j + [1]
-        for i in range(len(col), n + 1):
-            col.append((0 if left is None else left[i - 1]) + (i - 1) * col[i - 1])
-        left = col
-    return cols[k][n]
+    return int(_table("first", r, 1, RationalQ(1)).entry(n, k))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 from .exactnum import TruncSeries, UniPoly, det_hessenberg, series_exp, series_inv
@@ -215,12 +216,14 @@ def harmonic(n: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def hyperharmonic(n: int, k: int) -> Fraction:
-    """h_n^(k): iterated partial sums of harmonic numbers, h_n^(1) = H_n."""
+    """h_n^(k): iterated partial sums of harmonic numbers, h_n^(1) = H_n,
+    from k - 1 prefix-sum passes over H_1..H_n."""
     if n < 1 or k < 1:
         raise ValueError("need n, k >= 1")
-    if k == 1:
-        return harmonic(n)
-    return sum(hyperharmonic(i, k - 1) for i in range(1, n + 1))
+    row = [harmonic(i) for i in range(1, n + 1)]
+    for _ in range(k - 1):
+        row = list(accumulate(row))
+    return row[-1]
 
 
 def degen_bernoulli(k: int, lam) -> Fraction:

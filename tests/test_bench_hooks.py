@@ -1,0 +1,28 @@
+"""The benchmark's span tracer hooks package names; renaming one must fail here,
+not only in a traced benchmark run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_boundary_resolves_in_the_package():
+    boundaries = _load_spans().BOUNDARIES
+    assert boundaries
+    for span, targets in boundaries.items():
+        for mod_name, path in targets:
+            mod = importlib.import_module(f"qmzv.{mod_name}")
+            if "." in path:
+                cls_name, meth = path.split(".")
+                assert meth in vars(getattr(mod, cls_name)), (span, mod_name, path)
+            else:
+                assert callable(getattr(mod, path, None)), (span, mod_name, path)

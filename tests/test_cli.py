@@ -87,6 +87,30 @@ def test_env_budget_override(capsys, monkeypatch):
     assert code == 0
 
 
+def test_negative_budget_flag_is_refused(capsys, monkeypatch):
+    monkeypatch.delenv("QMZV_BUDGET", raising=False)
+    for argv in (
+        ("value", "--n", "5", "--m", "2", "--s", "1", "--method", "brute", "--budget", "-1"),
+        ("verify", "routes", "--n-max", "3", "--budget", "-5"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error:") and "budget" in err
+
+
+def test_negative_budget_env_is_refused(capsys, monkeypatch):
+    monkeypatch.setenv("QMZV_BUDGET", "-3")
+    for argv in (
+        ("value", "--n", "5", "--m", "2", "--s", "1", "--method", "brute"),
+        ("verify", "routes", "--n-max", "3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error:") and "budget" in err
+    # the flag still overrides the environment
+    code, out, _ = run_cli(capsys, "value", "--n", "5", "--m", "2", "--s", "1", "--method", "brute",
+                           "--budget", "100")
+    assert code == 0 and "[brute]" in out
+
+
 # ----------------------------------------------------------------- table
 
 

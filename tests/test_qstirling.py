@@ -352,7 +352,12 @@ def test_bottom_up_fill_computes_what_the_recursion_computes():
             ref_entry, ref_memo = reference(kind, r, s, q)
             for n, k in requests:
                 assert table.entry(n, k) == ref_entry(n, k)
-                assert table._memo == ref_memo
+                memo = {
+                    (j + t, j): v
+                    for j, col in enumerate(table._cols) if col is not None
+                    for t, v in enumerate(col) if t >= 1
+                }
+                assert memo == ref_memo
 
 
 def test_rstirling_deep_entry_has_no_recursion_limit():
@@ -362,3 +367,30 @@ def test_rstirling_deep_entry_has_no_recursion_limit():
     from qmzv.seqlib import harmonic
 
     assert rstirling1(1500, 2, 1) == factorial(1499) * harmonic(1499)
+
+
+def test_stirling2_iterated_deep_levels_have_no_recursion_limit():
+    # {1101, 1100} at r = s = 1, q = 1 is C(1101, 2)
+    assert stirling2_iterated(1101, 1100, q=Q1) == (605550, 605550)
+
+
+def test_concurrent_rstirling_fills_append_each_entry_once():
+    # threads switching every microsecond race to grow the same columns
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    from math import factorial
+
+    from qmzv import qstirling
+    from qmzv.seqlib import harmonic
+
+    want = factorial(299) * harmonic(299)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            qstirling._TABLES.clear()
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda _: rstirling1(300, 2, 1), range(4)))
+            assert got == [want] * 4
+    finally:
+        sys.setswitchinterval(interval)

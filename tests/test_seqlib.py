@@ -182,6 +182,12 @@ def test_hyperharmonic_values():
             assert hyperharmonic(n, k) == want
 
 
+def test_hyperharmonic_deep_arguments_have_no_recursion_limit():
+    for n, k in ((1, 1500), (3, 1100)):
+        want = math.comb(n + k - 1, k - 1) * (harmonic(n + k - 1) - harmonic(k - 1))
+        assert hyperharmonic(n, k) == want
+
+
 def test_hyperharmonic_rstirling_bridge():
     assert rstirling1(4, 3, 2) == 2 * hyperharmonic(2, 2) == 5
     # the hyperharmonic factor carries (m+1)!, which collapses to m+1 only
