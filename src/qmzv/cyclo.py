@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import UniPoly, poly_divmod, poly_xgcd
+from .exactnum import UniPoly, poly_divmod, poly_xgcd, power
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -137,13 +137,19 @@ class CycloCtx:
         n = self.n
         if i % n == 0:
             raise ZeroInverse("1 - zeta^i vanishes when n divides i")
+        return self._sum_zeta_powers(((-k, i * k) for k in range(1, n)), n)
+
+    def _sum_zeta_powers(self, terms, den: int) -> "CycloElem":
+        """(sum of c * zeta^e over the pairs (c, e) in ``terms``) / den, for
+        integers c and den > 0: integer additions only."""
         out = [0] * self.degree
-        pows = self._zeta_pows
-        for k in range(1, n):
-            for j, pj in enumerate(pows[(i * k) % n]):
-                if pj:
-                    out[j] -= k * pj
-        return _canonical(self, out, n)
+        pows, n = self._zeta_pows, self.n
+        for c, e in terms:
+            if c:
+                for j, pj in enumerate(pows[e % n]):
+                    if pj:
+                        out[j] += c * pj
+        return _canonical(self, out, den)
 
     def _mul_coords(self, a, b):
         """Product of two integer coordinate vectors, reduced mod Phi_n."""
@@ -272,14 +278,7 @@ class CycloElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = self.ctx.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, self.ctx.one())
 
     def __eq__(self, other):
         if isinstance(other, CycloElem):
@@ -323,15 +322,7 @@ class CycloElem:
         """Image under zeta -> zeta^a; requires gcd(a, n) = 1."""
         if math.gcd(a, self.ctx.n) != 1:
             raise ValueError("galois substitution needs gcd(a, n) = 1")
-        out = [0] * self.ctx.degree
-        for i, ci in enumerate(self.num):
-            if ci == 0:
-                continue
-            pw = self.ctx._zeta_pows[(i * a) % self.ctx.n]
-            for j, pj in enumerate(pw):
-                if pj != 0:
-                    out[j] = out[j] + ci * pj
-        return _canonical(self.ctx, out, self.den)
+        return self.ctx._sum_zeta_powers(((c, i * a) for i, c in enumerate(self.num)), self.den)
 
     def __repr__(self):
         return f"CycloElem(n={self.ctx.n}, {list(self.coords)!r})"

@@ -75,6 +75,18 @@ def _is_zero(c) -> bool:
     return c == 0
 
 
+def power(base, k: int, one):
+    """base ** k for k >= 0 by repeated squaring, starting from the ring's
+    ``one``; every ``__pow__`` in the package runs this loop."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
 class UniPoly:
     """Dense univariate polynomial over a generic coefficient ring.
 
@@ -155,14 +167,7 @@ class UniPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = UniPoly((1,))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, UniPoly((1,)))
 
     def __truediv__(self, other):
         if isinstance(other, UniPoly):
@@ -367,14 +372,7 @@ class TruncSeries:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative series power; use series_inv first")
-        result = TruncSeries(self.order, [1])
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, TruncSeries(self.order, [1]))
 
     def __eq__(self, other):
         return (

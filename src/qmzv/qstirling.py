@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from threading import RLock
+from threading import Lock, RLock
 
 from .cyclo import CycloCtx, cyclo_ctx
 from .exactnum import UniPoly, subset_product_sums, tuple_product_sum
@@ -37,19 +37,17 @@ class BadParams(ValueError):
 class QPoint:
     """Tagged evaluation point; factory for ring elements at that point."""
 
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
     def gen(self):
         """q itself as an element of the target ring."""
         raise NotImplementedError
 
+    def one(self):
+        return self.gen() ** 0
+
     def qnum(self, i: int):
         """The q-number [i]_q = 1 + q + ... + q^(i-1) in the target ring."""
-        acc, q = self.zero(), self.gen()
+        q = self.gen()
+        acc = q - q  # the ring's zero, built with no multiplication
         for _ in range(i):
             acc = acc * q + 1
         return acc
@@ -59,17 +57,8 @@ class QPoint:
 class SymbolicQ(QPoint):
     """Work over the polynomial ring Z[q]."""
 
-    def zero(self):
-        return UniPoly()
-
-    def one(self):
-        return UniPoly((1,))
-
     def gen(self):
         return UniPoly((0, 1))
-
-    def qnum(self, i: int):
-        return UniPoly((1,) * i)
 
 
 @dataclass(frozen=True)
@@ -80,12 +69,6 @@ class RationalQ(QPoint):
 
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
 
     def gen(self):
         return self.value
@@ -100,12 +83,6 @@ class RootOfUnityQ(QPoint):
     @property
     def ctx(self) -> CycloCtx:
         return cyclo_ctx(self.n)
-
-    def zero(self):
-        return self.ctx.zero()
-
-    def one(self):
-        return self.ctx.one()
 
     def gen(self):
         return self.ctx.zeta()
@@ -190,7 +167,7 @@ class StirlingTable:
         # _weights[i - r] is ([i]_q)^s: no recurrence multiplies by an index
         # below r, so none of those is ever computed
         self._weights = []
-        self._qnum = q.qnum(r - 1)  # [r - 1 + len(_weights)]_q
+        self._qnums = qnums_from(q, r)  # yields [r + len(_weights)]_q next
 
     def weight(self, i: int):
         """([i]_q)^s for i >= r, the recurrence multiplier."""
@@ -199,10 +176,8 @@ class StirlingTable:
         weights = self._weights
         if i - self.r >= len(weights):
             with self._lock:
-                x = self.q.gen()
                 while len(weights) <= i - self.r:
-                    self._qnum = self._qnum * x + 1
-                    weights.append(self._qnum ** self.s)
+                    weights.append(next(self._qnums) ** self.s)
         return weights[i - self.r]
 
     def entry(self, n: int, k: int):
@@ -240,13 +215,17 @@ class StirlingTable:
 
 
 _TABLES: dict = {}
+_TABLES_LOCK = Lock()
 
 
 def _table(kind: str, r: int, s: int, q: QPoint) -> StirlingTable:
+    """The one shared table for (kind, r, s, q); the lock makes racing
+    callers get the same table."""
     key = (kind, r, s, q)
-    tab = _TABLES.get(key)
-    if tab is None:
-        tab = _TABLES[key] = StirlingTable(kind, r, s, q)
+    with _TABLES_LOCK:
+        tab = _TABLES.get(key)
+        if tab is None:
+            tab = _TABLES[key] = StirlingTable(kind, r, s, q)
     return tab
 
 

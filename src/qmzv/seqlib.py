@@ -99,35 +99,17 @@ _FORWARD_ROUTES = ("recurrence", "determinant", "partition")
 _INVERSE_ROUTES = ("recurrence", "determinant")
 
 
-def _forward_matrix(a, m):
+def _hessenberg(first, band, superdiagonal):
+    """Lower-Hessenberg matrix with first column ``first``, entry (i, j) =
+    band[i - j] for 1 <= j <= i, entry (i, i + 1) = superdiagonal[i], and
+    zeros above that."""
+    d = len(first)
     rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            if j <= i:
-                row.append(a[i - j])
-            elif j == i + 1:
-                row.append(Fraction(i + 1))
-            else:
-                row.append(Fraction(0))
-        rows.append(row)
-    return rows
-
-
-def _inverse_matrix(b, n):
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j == 0:
-                row.append((i + 1) * b[i])
-            elif j <= i:
-                row.append(b[i - j])
-            elif j == i + 1:
-                row.append(Fraction(1))
-            else:
-                row.append(Fraction(0))
-        rows.append(row)
+    for i in range(d):
+        row = [first[i]] + [band[i - j] for j in range(1, i + 1)]
+        if i + 1 < d:
+            row.append(superdiagonal[i])
+        rows.append(row + [Fraction(0)] * (d - len(row)))
     return rows
 
 
@@ -148,7 +130,7 @@ def seq_transform_forward(a: Sequence, m: int, route: str = "recurrence"):
     if m == 0:
         return Fraction(1)
     if route == "determinant":
-        det = det_hessenberg(_forward_matrix(a, m))
+        det = det_hessenberg(_hessenberg(a[:m], a, [Fraction(i) for i in range(1, m)]))
         return det / Fraction(math.factorial(m))
     if route == "partition":
         total = 0
@@ -185,7 +167,8 @@ def seq_transform_inverse(b: Sequence, n: int, route: str = "recurrence"):
     if n == 0:
         return Fraction(1)
     if route == "determinant":
-        return det_hessenberg(_inverse_matrix(b, n))
+        first = [(i + 1) * b[i] for i in range(n)]
+        return det_hessenberg(_hessenberg(first, b, [Fraction(1)] * (n - 1)))
     res = [Fraction(1)]
     for t in range(1, n + 1):
         acc = 0

@@ -32,6 +32,12 @@ def _compare(got, want, routes, show=str) -> CheckResult:
     return _result(got == want, show(want), show(got), routes)
 
 
+def _brute_fits(n, m, budget) -> bool:
+    """Whether a case compares against the brute oracle: its C(n-1, m)
+    tuples fit the budget and the cap of 20000 that keeps sweeps short."""
+    return math.comb(n - 1, m) <= min(budget, 20000)
+
+
 def _case_routes(n, m, s, budget):
     reference = zeta._zeta_multi(n, m, s)
     values = {
@@ -39,7 +45,7 @@ def _case_routes(n, m, s, budget):
         "bell": zeta.zeta_bell(n, m, s).value,
         "det": zeta.zeta_det(n, m, s).value,
     }
-    if math.comb(n - 1, m) <= min(budget, 20000):
+    if _brute_fits(n, m, budget):
         values["brute"] = zeta.zeta_brute(n, m, s, budget=budget).value
     bad = {k: v for k, v in values.items() if v != reference}
     actual = "; ".join(f"{k}={v}" for k, v in sorted(bad.items()))
@@ -113,8 +119,11 @@ def _case_constant_term(s):
 
 
 def _case_dgber(n, s, budget):
-    want = zeta.zeta_brute(n, 1, s, budget=budget).value
-    return _compare(zeta.zeta_1s_degenerate_bernoulli(n, s), want, ["degenerate-bernoulli", "brute"])
+    if _brute_fits(n, 1, budget):
+        want, route = zeta.zeta_brute(n, 1, s, budget=budget).value, "brute"
+    else:
+        want, route = zeta._zeta_single(n, s), "product"
+    return _compare(zeta.zeta_1s_degenerate_bernoulli(n, s), want, ["degenerate-bernoulli", route])
 
 
 CASES = {

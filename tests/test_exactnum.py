@@ -5,6 +5,7 @@ from math import factorial, prod
 
 import pytest
 
+from qmzv.cyclo import cyclo_ctx
 from qmzv.exactnum import (
     BadConstantTerm,
     DivisionByZero,
@@ -18,6 +19,7 @@ from qmzv.exactnum import (
     det_hessenberg,
     poly_divmod,
     poly_interpolate,
+    power,
     rat_arith,
     series_exp,
     series_inv,
@@ -307,6 +309,37 @@ def test_series_truncation_locality():
     b = TruncSeries(5, [1, 1, 1, 1, 1])
     c = TruncSeries(3, [1, 2, 3]) * TruncSeries(3, [1, 1, 1])
     assert (a * b).coeffs[:3] == c.coeffs
+
+
+# ------------------------------------------------------------ repeated squaring
+
+
+def test_power_is_repeated_multiplication_in_every_ring():
+    ctx = cyclo_ctx(7)
+    rings = [
+        (UniPoly((F(1, 2), F(-1), F(3))), UniPoly((1,))),
+        (TruncSeries(6, [F(2), F(-1, 3), F(5)]), TruncSeries(6, [1])),
+        (ctx.one() - 2 * ctx.zeta() + ctx.zeta_power(3) / 5, ctx.one()),
+    ]
+    for base, one in rings:
+        assert power(base, 0, one) is one
+        assert base ** 0 == one
+        want = one
+        for k in range(7):
+            assert power(base, k, one) == want, (base, k)
+            assert base ** k == want, (base, k)
+            want = want * base
+
+
+def test_negative_powers_raise_for_polynomials_and_invert_in_the_field():
+    with pytest.raises(ValueError):
+        UniPoly((1, 1)) ** -1
+    with pytest.raises(ValueError):
+        TruncSeries(3, [1, 1]) ** -2
+    ctx = cyclo_ctx(7)
+    a = ctx.one() - 2 * ctx.zeta()
+    assert a ** -2 == (a * a).inverse()
+    assert a ** -1 * a == 1
 
 
 # ------------------------------------------------------------ interpolation

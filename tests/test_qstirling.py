@@ -58,6 +58,14 @@ def test_qnum_examples():
     assert qnum(3, Q1) == 3
 
 
+def test_qpoint_one_is_the_rings_one():
+    assert SYM.one() == UniPoly((1,)) and isinstance(SYM.one(), UniPoly)
+    for value in (F(2, 3), F(0)):
+        one = RationalQ(value).one()
+        assert one == Fraction(1) and isinstance(one, Fraction)
+    assert RootOfUnityQ(7).one() == cyclo_ctx(7).one()
+
+
 def test_qfact_examples():
     assert qfact(0, SYM) == UniPoly((1,))
     assert qfact(3, SYM) == UniPoly((1, 1)) * UniPoly((1, 1, 1))
@@ -392,5 +400,36 @@ def test_concurrent_rstirling_fills_append_each_entry_once():
             with ThreadPoolExecutor(max_workers=4) as pool:
                 got = list(pool.map(lambda _: rstirling1(300, 2, 1), range(4)))
             assert got == [want] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_racing_table_lookups_share_one_table():
+    # threads switching every microsecond ask for the same fresh key at once
+    import sys
+    import threading
+
+    from qmzv import qstirling
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(100):
+            q = RationalQ(F(round_ + 1, 7919))
+            barrier = threading.Barrier(8)
+            got = []
+
+            def lookup():
+                barrier.wait()
+                got.append(qstirling._table("first", 1, 1, q))
+
+            threads = [threading.Thread(target=lookup) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(got) == 8 and all(tab is got[0] for tab in got), round_
+            del qstirling._TABLES[("first", 1, 1, q)]
     finally:
         sys.setswitchinterval(interval)

@@ -42,3 +42,12 @@ def test_failing_identity_sweep_is_reported(capsys, monkeypatch):
         "actual": str({"identity": 2, "n": 1, "m": 0}),
         "routes": ["orthogonality"],
     }
+
+
+def test_dgber_compares_with_the_product_route_when_brute_does_not_fit(capsys):
+    assert verify.CASES["dgber"](n=3, s=2, budget=0).routes == ["degenerate-bernoulli", "product"]
+    assert verify.CASES["dgber"](n=3, s=2, budget=2).routes == ["degenerate-bernoulli", "brute"]
+    for suite in ("dgber", "all"):
+        code = cli.main(["verify", suite, "--n-max", "3", "--budget", "0", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and payload["failures"] == [], suite
