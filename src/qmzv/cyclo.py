@@ -18,6 +18,10 @@ The inverses 1/(1 - zeta^i) have a closed form (``inv_one_minus_power``)
 that needs neither a field multiplication nor the extended Euclidean
 algorithm; ``CycloElem.inverse`` keeps the xgcd path for generic elements.
 
+``CycloCtx.poly_power`` raises a polynomial over Z[zeta_n] to a power by
+Miller's recurrence on integer coordinates; the multisection engine of the
+product route runs on it in Q(zeta_s).
+
 Contexts are cached per n and immutable; elements from different contexts
 never mix (checked, raises ContextMismatch).
 """
@@ -150,6 +154,49 @@ class CycloCtx:
                     if pj:
                         out[j] += c * pj
         return _canonical(self, out, den)
+
+    def poly_power(self, coeffs, e: int, top: int) -> list:
+        """Coefficients of xi^0 .. xi^top of g(xi)^e, for e >= 0 and a
+        polynomial g = sum_i coeffs[i] xi^i over Z[zeta_n] with g(0) = 1.
+
+        J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7):
+        a_0 = 1 and k a_k = sum_{i >= 1} ((e + 1) i - k) g_i a_{k-i}.  Every
+        a_k lies in Z[zeta_n], so the division by k is exact and the
+        recurrence runs on integer coordinates.  Zero g_i are skipped,
+        rational ones act as integers, and only the k divisible by the gcd of
+        the support of g are computed, since the other a_k vanish.
+        """
+        if coeffs[0] != 1 or any(c.den != 1 for c in coeffs):
+            raise ValueError("poly_power needs g(0) = 1 and coefficients in Z[zeta_n]")
+        terms = []  # (i, integer factor or None, coordinate vector)
+        for i, c in enumerate(coeffs[1:], 1):
+            if any(c.num[1:]):
+                terms.append((i, None, c.num))
+            elif c.num[0]:
+                terms.append((i, c.num[0], None))
+        # g = 1 has no terms: a step beyond top leaves only a_0 = 1
+        step = math.gcd(*(t[0] for t in terms)) or top + 1
+        mul = self._mul_coords
+        a = [self._zeta_pows[0]]  # a[j] = coordinates of a_(j * step)
+        for k in range(step, top + 1, step):
+            acc = [0] * self.degree
+            for i, r, vec in terms:
+                if i > k:
+                    break
+                c = (e + 1) * i - k
+                if c:
+                    prev = a[(k - i) // step]
+                    if vec is None:
+                        c *= r
+                    else:
+                        prev = mul(vec, prev)
+                    acc = [x + c * y for x, y in zip(acc, prev)]
+            a.append(tuple(x // k for x in acc))
+        zero = self.zero()
+        out = [zero] * (top + 1)
+        for j, vec in enumerate(a):
+            out[j * step] = _make(self, vec, 1)
+        return out
 
     def _mul_coords(self, a, b):
         """Product of two integer coordinate vectors, reduced mod Phi_n."""

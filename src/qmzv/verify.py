@@ -39,8 +39,11 @@ def _brute_fits(n, m, budget) -> bool:
 
 
 def _case_routes(n, m, s, budget):
-    reference = zeta._zeta_multi(n, m, s)
+    # both engines of the product route: the Q(zeta_n) product is the
+    # reference, whichever one ``_product_row`` picks for (n, s)
+    reference = zeta._row_entry(zeta._field_row(n, s), m)
     values = {
+        "multisection": zeta._row_entry(zeta._multisection_row(n, s), m),
         "stirling": zeta.zeta_via_stirling(n, m, s).value,
         "bell": zeta.zeta_bell(n, m, s).value,
         "det": zeta.zeta_det(n, m, s).value,

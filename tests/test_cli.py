@@ -233,6 +233,42 @@ def test_poly_command_text(capsys):
     assert out.strip() == "Z(n; m=1, s=3) = -3/8 + 1/2*n - 1/8*n^2"
 
 
+LARGE_S_OUTPUTS = {
+    ("poly", "--m", "1", "--s", "16"): (
+        "Z(n; m=1, s=16) = -8092989203533249/32011868528640000 + 1/2*n"
+        " - 1195757/4324320*n^2 + 35118025721/1089728640000*n^4"
+        " - 277382447/90531302400*n^6 + 54576553/313528320000*n^8"
+        " - 324509/60354201600*n^10 + 18602411/235381386240000*n^12"
+        " - 47/112086374400*n^14 + 3617/10670622842880000*n^16\n"
+    ),
+    ("table", "zeta", "--n", "10", "--s", "40"): (
+        "m  value\n"
+        "0  1\n"
+        "1  4914003659709977584796500729/10737418240000000000\n"
+        "2  1372622589768183108777338997733107973163039/26214400000000000000000000\n"
+        "3  83054882002343268149645685861168810267129695677/512000000000000000000000000000000\n"
+        "4  78523865357594346215139600081328128515593572992361"
+        "/625000000000000000000000000000000000000\n"
+        "5  2199832830873759130262830773967977307987671/2000000000000000000000000000000000000000\n"
+        "6  301911092436215885895749554359277/125000000000000000000000000000000000000\n"
+        "7  34731087117574197096161/1000000000000000000000000000000000000000\n"
+        "8  69770924939/500000000000000000000000000000000000000\n"
+        "9  1/10000000000000000000000000000000000000000\n"
+    ),
+}
+
+
+def test_large_s_rows_use_the_field_product_unchanged(capsys, monkeypatch):
+    from qmzv import zeta
+
+    def no_subsets(s):
+        raise AssertionError(f"enumerated the subsets of Z/{s}")
+
+    monkeypatch.setattr(zeta, "_rotation_orbits", no_subsets)
+    for argv, want in LARGE_S_OUTPUTS.items():
+        assert run_cli(capsys, *argv) == (0, want, ""), argv
+
+
 # ---------------------------------------------------------------- verify
 
 

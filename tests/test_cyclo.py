@@ -273,3 +273,42 @@ def test_coords_returns_rational_values():
     assert ctx.element(inv.coords) == inv
     assert repr(half) == "CycloElem(n=5, [Fraction(1, 2), 0, Fraction(3, 4), 0])"
     assert repr(z) == "CycloElem(n=5, [0, 1, 0, 0])"
+
+
+def _poly_pow_by_products(g, e, zero):
+    out = [g[0] ** 0]
+    for _ in range(e):
+        prod = [zero] * (len(out) + len(g) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(g):
+                prod[i + j] = prod[i + j] + a * b
+        out = prod
+    return out
+
+
+def test_poly_power_matches_repeated_products():
+    rng = random.Random(5)
+    for n in (1, 3, 4, 5, 12):
+        ctx = cyclo_ctx(n)
+        zero = ctx.zero()
+        shapes = [[1, None, None], [1, 0, None], [1, 0, 0, None], [1, 2, 0, -3]]
+        for shape in shapes:
+            g = [
+                ctx.element([rng.randint(-3, 3) for _ in range(ctx.degree)])
+                if c is None else ctx.element([c])
+                for c in shape
+            ]
+            for e in (0, 1, 2, 5):
+                want = _poly_pow_by_products(g, e, zero)
+                top = len(want) + 1
+                got = ctx.poly_power(g, e, top)
+                assert got == want + [zero] * (top + 1 - len(want)), (n, shape, e)
+    assert cyclo_ctx(5).poly_power([cyclo_ctx(5).one()], 7, 3) == [1, 0, 0, 0]
+
+
+def test_poly_power_refuses_non_monic_or_non_integral_input():
+    ctx = cyclo_ctx(5)
+    with pytest.raises(ValueError):
+        ctx.poly_power([ctx.element([2]), ctx.one()], 3, 3)
+    with pytest.raises(ValueError):
+        ctx.poly_power([ctx.one(), ctx.element([F(1, 2)])], 3, 3)

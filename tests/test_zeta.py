@@ -11,6 +11,9 @@ from qmzv.zeta import (
     BudgetExceeded,
     UnsupportedClosedForm,
     ZetaValue,
+    _field_row,
+    _multisection_is_cheaper,
+    _multisection_row,
     _zeta_multi,
     _zeta_single,
     f_poly,
@@ -90,6 +93,30 @@ def test_product_matches_brute_grid():
 
 def test_product_beyond_row_is_zero():
     assert _zeta_multi(4, 7, 2) == 0
+
+
+def test_multisection_row_matches_field_row():
+    for n in range(1, 25):
+        for s in range(1, 7):
+            assert _multisection_row(n, s) == _field_row(n, s), (n, s)
+
+
+def test_multisection_large_rows_match_closed_forms():
+    row = _multisection_row(1001, 2)
+    assert len(row) == 1001 and row[0] == 1
+    assert all(row[m] == zeta_m2_closed(1001, m) for m in range(1, 1001))
+    row = _multisection_row(401, 3)
+    assert len(row) == 401 and row[0] == 1
+    assert all(row[m] == zeta_m3_closed(401, m) for m in range(1, 61))
+
+
+def test_selector_picks_multisection_for_small_s_only():
+    for n in range(17, 41):
+        for s in (1, 2, 3):
+            assert _multisection_is_cheaper(n, s), (n, s)
+    assert not _multisection_is_cheaper(14, 8)
+    assert not _multisection_is_cheaper(10, 40)
+    assert not _multisection_is_cheaper(10, 10 ** 6)
 
 
 # ------------------------------------------------------------ other routes
