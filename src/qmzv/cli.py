@@ -261,9 +261,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = None  # built by the first main() call, not at import
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "value":
             return cmd_value(args)

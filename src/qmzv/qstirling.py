@@ -19,6 +19,7 @@ coefficients of the generalized factorials for every n >= r.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -239,14 +240,6 @@ def stirling2(n: int, k: int, r: int = 1, s: int = 1, q: QPoint = SymbolicQ()):
     return _table("second", r, s, q).entry(n, k)
 
 
-def _invert(v):
-    if isinstance(v, int):
-        v = Fraction(v)
-    if isinstance(v, Fraction):
-        return 1 / v
-    return v.inverse()
-
-
 @lru_cache(maxsize=None)
 def _chosen_product_sums(n: int, r: int, s: int, q: QPoint):
     """Bucketed subset sweep: index j holds the sum over all strictly
@@ -279,8 +272,9 @@ def stirling1_closed(n: int, m: int, r: int = 1, s: int = 1, q: QPoint = Symboli
     if isinstance(q, SymbolicQ):
         return prod, prod
     tab = _table("first", r, s, q)
-    w = (qfact(n - 1, q) / qfact(r - 1, q)) ** s
-    inv_values = [_invert(tab.weight(i)) for i in range(r, n)]
+    weights = [tab.weight(i) for i in range(r, n)]
+    w = math.prod(weights, start=q.one())  # ([n-1]_q! / [r-1]_q!)^s
+    inv_values = [1 / v for v in weights]
     return w * tuple_product_sum([inv_values] * (m - r)), prod
 
 

@@ -88,11 +88,13 @@ def elem_from_power_sums(g: Sequence, big_k: int):
         return Fraction(1)
     if len(g) < big_k:
         raise InsufficientInput(f"need {big_k} power sums, got {len(g)}")
-    xs = [
-        (-1) ** j * math.factorial(j) * fractionize(g[j])
-        for j in range(big_k)
-    ]
-    return bell_complete(big_k, xs) / Fraction(math.factorial(big_k))
+    return bell_complete(big_k, _newton_bell_args(g, big_k)) / Fraction(math.factorial(big_k))
+
+
+def _newton_bell_args(a: Sequence, m: int):
+    """x_j = (-1)^(j-1) (j-1)! a_j for j = 1..m, so that Y_m(x)/m! is the
+    m-th elementary symmetric value of the power sums a_1, a_2, ..."""
+    return [(-1) ** j * math.factorial(j) * fractionize(a[j]) for j in range(m)]
 
 
 _FORWARD_ROUTES = ("recurrence", "determinant", "partition")
@@ -119,8 +121,8 @@ def seq_transform_forward(a: Sequence, m: int, route: str = "recurrence"):
     The pair (a, b) is linked Newton-style: m b_m = sum_i (-1)^(i-1) a_i
     b_{m-i}.  Routes: "recurrence" (that convolution), "determinant" (the
     (1/m!)-scaled Toeplitz-Hessenberg determinant with superdiagonal
-    1..m-1), "partition" (the multinomial sum over partitions of m with
-    factors ((-1)^(j-1) a_j / j)^(i_j)).
+    1..m-1), "partition" (Y_m(x)/m! summed over the partitions of m by
+    :func:`bell_partition_sum`, x_j = (-1)^(j-1) (j-1)! a_j).
     """
     if len(a) < m:
         raise InsufficientInput(f"need {m} terms, got {len(a)}")
@@ -133,16 +135,7 @@ def seq_transform_forward(a: Sequence, m: int, route: str = "recurrence"):
         det = det_hessenberg(_hessenberg(a[:m], a, [Fraction(i) for i in range(1, m)]))
         return det / Fraction(math.factorial(m))
     if route == "partition":
-        total = 0
-        for partition in _partition_multiplicities(m):
-            coeff = Fraction(1)
-            term = 1
-            for part, mult in partition:
-                coeff /= math.factorial(mult)
-                base = a[part - 1] * Fraction((-1) ** (part - 1), part)
-                term = term * base ** mult
-            total = total + coeff * term
-        return total
+        return bell_partition_sum(m, _newton_bell_args(a, m)) / Fraction(math.factorial(m))
     bs = [Fraction(1)]
     for t in range(1, m + 1):
         acc = 0

@@ -125,7 +125,7 @@ def _case_dgber(n, s, budget):
     if _brute_fits(n, 1, budget):
         want, route = zeta.zeta_brute(n, 1, s, budget=budget).value, "brute"
     else:
-        want, route = zeta._zeta_single(n, s), "product"
+        want, route = zeta._zeta_multi(n, 1, s), "product"
     return _compare(zeta.zeta_1s_degenerate_bernoulli(n, s), want, ["degenerate-bernoulli", route])
 
 

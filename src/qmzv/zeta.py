@@ -53,7 +53,6 @@ from .qstirling import (
     BadParams,
     RationalQ,
     RootOfUnityQ,
-    qfact,
     qnums_from,
     rstirling1,
     stirling1,
@@ -279,8 +278,9 @@ def zeta_via_stirling(n: int, m: int, s: int) -> ZetaValue:
     qpt = RootOfUnityQ(n)
     ctx = qpt.ctx
     entry = stirling1(n, m + 1, r=1, s=s, q=qpt)
-    denom = ((ctx.one() - ctx.zeta()) ** (s * m)) * (qfact(n - 1, qpt) ** s)
-    val = as_rational(entry * denom.inverse())
+    # prod_{j<n} (1 - zeta^j) = n gives [n-1]_q! = n / (1-zeta)^(n-1), so the
+    # divisor is n^s (1-zeta)^(s(m-n+1))
+    val = as_rational(entry * (ctx.one() - ctx.zeta()) ** (s * (n - 1 - m))) / n ** s
     return ZetaValue(val, "stirling", (n, m, s))
 
 
@@ -387,14 +387,13 @@ def zeta_m3_closed(n: int, m: int) -> Fraction:
     )
     acc = Fraction(0)
     for k in range((m + 1) // 2 + 1):
-        for i in range(m - 2 * k + 2):
-            term = Fraction(
-                math.comb(m - k + 1, k) * math.comb(m - 2 * k + 1, i),
-                m - k + 1,
-            )
-            term *= math.comb(n + m - 2 * k - i, 3 * m - 3 * k + 2)
-            term *= 2 ** i * (-3) ** (m - 2 * k - i + 1)
-            acc += term
+        inner = sum(
+            math.comb(m - 2 * k + 1, i)
+            * math.comb(n + m - 2 * k - i, 3 * m - 3 * k + 2)
+            * 2 ** i * (-3) ** (m - 2 * k - i + 1)
+            for i in range(m - 2 * k + 2)
+        )
+        acc += Fraction(math.comb(m - k + 1, k) * inner, m - k + 1)
     return head - acc / n ** 2
 
 

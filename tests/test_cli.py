@@ -390,3 +390,19 @@ def test_verify_jobs_runs_the_pool_when_cpus_allow(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify", "gtrudi", "--jobs", "2", "--format", "json")
     assert code == 0 and started == [2]
     assert json.loads(out)["cases"] == 50
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    builds = []
+    build = cli._build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+    for m in (1, 2, 3):
+        code, out, _ = run_cli(capsys, "value", "--n", "7", "--m", str(m), "--s", "1")
+        assert code == 0 and f"m={m}" in out
+    assert len(builds) == 1

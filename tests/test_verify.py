@@ -51,3 +51,11 @@ def test_dgber_compares_with_the_product_route_when_brute_does_not_fit(capsys):
         code = cli.main(["verify", suite, "--n-max", "3", "--budget", "0", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0 and payload["failures"] == [], suite
+
+
+def test_dgber_fallback_runs_the_product_route(capsys, monkeypatch):
+    monkeypatch.setattr(verify.zeta, "_zeta_multi", lambda n, m, s: -1)
+    code = cli.main(["verify", "dgber", "--n-max", "3", "--budget", "0", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 4 and payload["failures"]
+    assert all(f["routes"] == ["degenerate-bernoulli", "product"] for f in payload["failures"])

@@ -387,3 +387,53 @@ def test_reference_polynomials_constant_terms():
         got = REFERENCE_POLYNOMIALS[(1, s)].coeff(0)
         assert got == want
         assert got == F((-1) ** (s - 1)) * norlund(s) / math.factorial(s)
+
+
+# ------------------------------------------------------ no polynomial Euclid
+
+
+def test_no_route_reaches_polynomial_euclid(monkeypatch, capsys):
+    import json
+    import random
+
+    from qmzv import cli, cyclo, exactnum, qstirling, seqlib
+    from qmzv import zeta as zmod
+
+    def refuse(*args):
+        raise AssertionError("polynomial Euclid reached")
+
+    monkeypatch.setattr(exactnum, "poly_xgcd", refuse)
+    monkeypatch.setattr(cyclo, "poly_xgcd", refuse)
+    # start cold, so no value memoized before the patch hides a call
+    for mod in (cyclo, exactnum, qstirling, seqlib, zmod):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    qstirling._TABLES.clear()
+
+    for n in range(2, 8):
+        for s in (1, 2, 3):
+            for m in range(n + 2):  # m >= n included
+                values = set()
+                for method in ("brute", "product", "stirling", "bell", "det", "closed"):
+                    argv = ["value", "--n", str(n), "--m", str(m), "--s", str(s),
+                            "--method", method, "--format", "json"]
+                    assert cli.main(argv) == 0, argv
+                    values.add(json.loads(capsys.readouterr().out)["value"])
+                assert len(values) == 1, (n, m, s, values)
+    assert cli.main(["verify", "routes", "--n-max", "8"]) == 0
+    assert cli.main(["table", "stirling1", "--q", "root:7", "--n-max", "6"]) == 0
+    root7 = qstirling.RootOfUnityQ(7)
+    for s in (1, 2):
+        for r in (1, 2):
+            for n in range(r + 1, 7):
+                for m in range(r, n):
+                    a, b = qstirling.stirling1_closed(n, m, r, s, root7)
+                    assert a == b == qstirling.stirling1(n, m, r, s, root7)
+    rng = random.Random(9)
+    for n in range(1, 31):
+        ctx = cyclo.cyclo_ctx(n)
+        for _ in range(3):
+            a = ctx.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(ctx.degree)])
+            if not a.is_zero():
+                assert a * a.inverse() == 1, n
