@@ -39,15 +39,16 @@ def _brute_fits(n, m, budget) -> bool:
 
 
 def _case_routes(n, m, s, budget):
-    # both engines of the product route: the Q(zeta_n) product is the
-    # reference, whichever one ``_product_row`` picks for (n, s)
+    # the Q(zeta_n) product is the reference; the multisection, whose cost
+    # doubles with s, joins when s <= 6 or when ``_product_row`` picks it
     reference = zeta._row_entry(zeta._field_row(n, s), m)
     values = {
-        "multisection": zeta._row_entry(zeta._multisection_row(n, s), m),
         "stirling": zeta.zeta_via_stirling(n, m, s).value,
         "bell": zeta.zeta_bell(n, m, s).value,
         "det": zeta.zeta_det(n, m, s).value,
     }
+    if s <= 6 or zeta._multisection_is_cheaper(n, s):
+        values["multisection"] = zeta._row_entry(zeta._multisection_row(n, s), m)
     if _brute_fits(n, m, budget):
         values["brute"] = zeta.zeta_brute(n, m, s, budget=budget).value
     bad = {k: v for k, v in values.items() if v != reference}
@@ -57,11 +58,11 @@ def _case_routes(n, m, s, budget):
 
 def _case_row_from_column(n, m, s):
     return _compare(zeta.zeta_row_from_column(n, m, s), zeta._zeta_single(n, m * s),
-                    ["row-from-column", "product"])
+                    ["row-from-column", "single-index"])
 
 
 def _case_binomial_det(n, s):
-    return _compare(zeta.zeta_1s_det(n, s), zeta._zeta_single(n, s), ["binomial-det", "product"])
+    return _compare(zeta.zeta_1s_det(n, s), zeta._zeta_single(n, s), ["binomial-det", "single-index"])
 
 
 def _case_orthogonality(r, s, qspec, n_max):

@@ -26,9 +26,9 @@ return the same rational:
                            values (and ``zeta_row_from_column`` inverts it);
 * closed forms for s = 1, 2, 3 and the degenerate-Bernoulli form for m = 1.
 
-The module also builds the subset-product polynomials F(s, l)(X, Y) through
-compound (exterior-power) matrices and checks the bivariate log-identity
-that generates all of these values at once.
+The module also builds the subset-product polynomials F(s, l)(X, Y) from
+power sums (Newton's identities through series log and exp) and checks the
+bivariate log-identity that generates all of these values at once.
 """
 
 from __future__ import annotations
@@ -37,14 +37,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import islice
 
 from .cyclo import as_rational, cyclo_ctx
 from .exactnum import (
     TruncSeries,
     UniPoly,
-    det_cofactor,
     poly_interpolate,
+    series_exp,
     series_log,
     subset_product_sums,
     tuple_product_sum,
@@ -490,55 +490,33 @@ def harmonic_decomposition_check(n: int, s: int) -> CheckResult:
     return result
 
 
-def _companion_matrix(s: int):
-    """Companion matrix over Q[X] of the polynomial whose roots are the
-    roots alpha_i of (1 - Y)^s + X; its elementary symmetric functions are
-    e_j = C(s, j) + [j = s] X."""
-    e = [UniPoly((Fraction(math.comb(s, j)),)) for j in range(s + 1)]
-    e[s] = e[s] + UniPoly((Fraction(0), Fraction(1)))
-    # monic char poly T^s + c_{s-1} T^{s-1} + ... + c_0 with c_k = (-1)^(s-k) e_{s-k}
-    c = [e[s - k] * Fraction((-1) ** (s - k)) for k in range(s)]
-    mat = [[UniPoly() for _ in range(s)] for _ in range(s)]
-    for i in range(1, s):
-        mat[i][i - 1] = UniPoly((Fraction(1),))
-    for i in range(s):
-        mat[i][s - 1] = -c[i]
-    return mat
-
-
-def _compound_matrix(mat, l: int):
-    """l-th compound: entries are the l x l minors, subsets in lex order."""
-    idx = list(combinations(range(len(mat)), l))
-    return [
-        [det_cofactor([[mat[a][b] for b in cols] for a in rows]) for cols in idx]
-        for rows in idx
-    ]
-
-
 def f_poly(s: int, l: int) -> UniPoly:
     """Subset-product polynomial F(s, l)(X, Y) = prod over l-subsets of
     (1 - alpha_{i_1}...alpha_{i_l} Y), returned as a polynomial in Y whose
     coefficients are polynomials in X.
 
-    Built as det(I - Y * compound_l(C)) with C the companion matrix of the
-    alpha polynomial, so no root extension is ever constructed; F(s, 0) is
-    1 - Y by convention.
+    The alpha are the roots of (1 - Y)^s + X, so prod_i (1 - alpha_i Y) =
+    sum_j (-1)^j e_j Y^j with e_j = C(s, j) + [j = s] X, and its log is
+    -sum_k p_k(alpha) Y^k / k.  The subset products beta have power sums
+    p_k(beta) = e_l(alpha^k), Newton's transform of p_k, p_2k, ..., p_lk,
+    and F is the exp of -sum_k p_k(beta) Y^k / k cut at its degree C(s, l).
+    No root extension is ever constructed; F(s, 0) is 1 - Y by convention.
     """
     if s < 1 or l < 0 or l > s:
         raise BadParams("need s >= 1 and 0 <= l <= s")
     one_x = UniPoly((Fraction(1),))
     if l == 0:
         return UniPoly((one_x, -one_x))
-    lam = _compound_matrix(_companion_matrix(s), l)
-    d = len(lam)
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            head = one_x if i == j else UniPoly()
-            row.append(UniPoly((head, -lam[i][j])))
-        rows.append(row)
-    return det_cofactor(rows)
+    deg = math.comb(s, l)
+    e = [one_x * ((-1) ** j * math.comb(s, j)) for j in range(s + 1)]
+    e[s] = e[s] + UniPoly((0, Fraction((-1) ** s)))
+    p = [-k * c for k, c in enumerate(series_log(TruncSeries(l * deg + 1, e)).coeffs)]
+    log_beta = [UniPoly()] + [
+        -seq_transform_forward(p[k::k][:l], l) / k for k in range(1, deg + 1)
+    ]
+    f = series_exp(TruncSeries(deg + 1, log_beta))
+    # series_exp's constant term is the rational 1, not the polynomial one
+    return UniPoly((one_x,) + f.coeffs[1:])
 
 
 def logf_identity_check(s: int, trunc: int = 12) -> CheckResult:
@@ -554,18 +532,11 @@ def logf_identity_check(s: int, trunc: int = 12) -> CheckResult:
         raise BadParams("left side is evaluated for s in {1, 2, 3} only")
     if not 1 <= trunc <= 20:
         raise BadParams("need 1 <= trunc <= 20")
-    order = trunc + 1
-    total = None
-    for l in range(s + 1):
-        series = TruncSeries(order, list(f_poly(s, l).coeffs))
-        lg = series_log(series)
-        if total is None:
-            total = lg
-        elif l % 2 == 0:
-            total = total + lg
-        else:
-            total = total - lg
-    rhs = total * Fraction((-1) ** (s - 1))
+    logs = [
+        series_log(TruncSeries(trunc + 1, f_poly(s, l).coeffs)) * Fraction((-1) ** (s - 1 + l))
+        for l in range(s + 1)
+    ]
+    rhs = sum(logs[1:], logs[0])
 
     result = CheckResult(["logf", "product"])
     shifted = []

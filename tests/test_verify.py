@@ -59,3 +59,24 @@ def test_dgber_fallback_runs_the_product_route(capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert code == 4 and payload["failures"]
     assert all(f["routes"] == ["degenerate-bernoulli", "product"] for f in payload["failures"])
+
+
+def test_routes_compare_the_multisection_only_where_it_is_bounded(monkeypatch):
+    assert "multisection" in verify.CASES["routes"](n=2, m=1, s=3, budget=0).routes
+
+    def no_subsets(s):
+        raise AssertionError(f"enumerated the subsets of Z/{s}")
+
+    monkeypatch.setattr(verify.zeta, "_rotation_orbits", no_subsets)
+    case = ("routes n=2 m=1 s=18", "routes", {"n": 2, "m": 1, "s": 18, "budget": 0})
+    result = verify.run_case(case)
+    assert result.passed and "multisection" not in result.routes
+
+
+def test_single_index_reference_is_labelled_as_such(capsys, monkeypatch):
+    assert verify.CASES["row_from_column"](n=3, m=1, s=1).routes == ["row-from-column", "single-index"]
+    monkeypatch.setattr(verify.zeta, "zeta_1s_det", lambda n, s: -1)
+    code = cli.main(["verify", "routes", "--n-max", "2", "--m-max", "1", "--s-max", "1", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 4 and payload["failures"]
+    assert all(f["routes"] == ["binomial-det", "single-index"] for f in payload["failures"])

@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from qmzv.cyclo import cyclo_ctx
+from qmzv.cyclo import as_rational, cyclo_ctx
 from qmzv.exactnum import UniPoly
 from qmzv.qstirling import BadParams
 from qmzv.zeta import (
@@ -308,6 +309,22 @@ def test_f_poly_elementary_symmetric_content():
             want = UniPoly((e, F(1))) if j == s else UniPoly((e,))
             got = fp.coeff(j) * F((-1) ** j)
             assert got == want, (s, j)
+
+
+def test_f_poly_matches_a_literal_subset_product():
+    # at X = -t^s the alpha are 1 - t zeta_s^r, so F(s, l) is the product
+    # over the l-subsets S of (1 - Y prod_{r in S} alpha_r) in Q(zeta_s)[Y]
+    for s in range(1, 8):
+        ctx = cyclo_ctx(s)
+        for l in range(1, s + 1):
+            fp = f_poly(s, l)
+            for t in (F(2), F(-1, 3)):
+                alpha = [ctx.one() - ctx.zeta_power(r) * t for r in range(s)]
+                literal = UniPoly((ctx.one(),))
+                for subset in combinations(alpha, l):
+                    literal = literal * UniPoly((ctx.one(), -math.prod(subset)))
+                want = [as_rational(c) for c in literal.coeffs]
+                assert [c(-t ** s) for c in fp.coeffs] == want, (s, l, t)
 
 
 def test_f_poly_range_check():
