@@ -1,7 +1,7 @@
 """Exact arithmetic kernel: rationals, dense polynomials, truncated power
-series, determinant routines, and the two tuple-sum enumerators
-(``tuple_product_sum`` over increasing index tuples, ``subset_product_sums``
-over all subsets) over generic commutative coefficient rings.
+series, determinant routines, the two Newton loops (``newton_exp``,
+``newton_log``) and the two tuple-sum enumerators (``tuple_product_sum``,
+``subset_product_sums``) over generic commutative coefficient rings.
 
 Scalars are plain ints and ``fractions.Fraction``.  A "ring element" below is
 any immutable value supporting ``+``, ``-``, ``*`` and ``== 0`` against the
@@ -76,13 +76,19 @@ def _is_zero(c) -> bool:
 
 
 def power(base, k: int, one):
-    """base ** k for k >= 0 by repeated squaring, starting from the ring's
-    ``one``; every ``__pow__`` in the package runs this loop."""
-    result = one
+    """base ** k for k >= 0 by repeated squaring from the lowest set bit of
+    k (``one`` for k = 0); every ``__pow__`` in the package runs this loop."""
+    if not k:
+        return one
+    while not k & 1:
+        base = base * base
+        k >>= 1
+    result = base
+    k >>= 1
     while k:
+        base = base * base
         if k & 1:
             result = result * base
-        base = base * base
         k >>= 1
     return result
 
@@ -421,34 +427,54 @@ def series_inv(f: TruncSeries) -> TruncSeries:
     return TruncSeries(f.order, out)
 
 
+def newton_exp(g: Sequence) -> list:
+    """e_0 = 1, e_1, ..., e_K from g = [g_1, ..., g_K] by the exp-type Newton
+    loop k e_k = sum_{j <= k} g_j e_(k-j): e_k = [t^k] exp(f) when g_j =
+    j [t^j] f, and e_k is the k-th elementary symmetric value when g_j =
+    (-1)^(j-1) p_j are signed power sums.  Zero g_j are dropped once."""
+    terms = [(j, c) for j, c in enumerate(g, 1) if not _is_zero(c)]
+    e = [1]
+    for k in range(1, len(g) + 1):
+        acc = 0
+        for j, c in terms:
+            if j > k:
+                break
+            acc = acc + c * e[k - j]
+        e.append(Fraction(acc, k) if isinstance(acc, int) else acc / k)
+    return e
+
+
+def newton_log(f: Sequence) -> list:
+    """q_0 = 0, q_1, ..., q_K from f = [f_1, ..., f_K] by the log-type Newton
+    loop q_k = k f_k - sum_{0 < j < k} f_j q_(k-j), so q_k = k [t^k]
+    log(1 + f_1 t + f_2 t^2 + ...), and q_k = -p_k when f_j = (-1)^j e_j are
+    signed elementary symmetric values.  No division; zero f_j are dropped once."""
+    terms = [(j, c) for j, c in enumerate(f, 1) if not _is_zero(c)]
+    q = [0]
+    for k in range(1, len(f) + 1):
+        acc = k * f[k - 1]
+        for j, c in terms:
+            if j >= k:
+                break
+            acc = acc - c * q[k - j]
+        q.append(acc)
+    return q
+
+
 def series_log(f: TruncSeries) -> TruncSeries:
-    """log of a series with constant term exactly 1."""
+    """log of a series with constant term exactly 1, from :func:`newton_log`."""
     if not f.coeffs[0] == 1:
         raise BadConstantTerm("series_log needs constant term 1")
-    out = [f.coeffs[0] * 0]
-    for k in range(1, f.order):
-        acc = f.coeffs[k]
-        for j in range(1, k):
-            fk = f.coeffs[k - j]
-            if not _is_zero(fk):
-                acc = acc - Fraction(j, k) * (out[j] * fk)
-        out.append(acc)
-    return TruncSeries(f.order, out)
+    q = newton_log(f.coeffs[1:])
+    return TruncSeries(f.order, [f.coeffs[0] * 0] + [q[k] / k for k in range(1, len(q))])
 
 
 def series_exp(f: TruncSeries) -> TruncSeries:
-    """exp of a series with constant term exactly 0."""
+    """exp of a series with constant term exactly 0, from :func:`newton_exp`
+    on g_j = j [t^j] f."""
     if not _is_zero(f.coeffs[0]):
         raise BadConstantTerm("series_exp needs constant term 0")
-    out = [1]
-    for k in range(1, f.order):
-        acc = 0
-        for j in range(1, k + 1):
-            fj = f.coeffs[j]
-            if not _is_zero(fj):
-                acc = acc + j * (fj * out[k - j])
-        out.append(acc / k if not isinstance(acc, int) else Fraction(acc, k))
-    return TruncSeries(f.order, out)
+    return TruncSeries(f.order, newton_exp([j * c for j, c in enumerate(f.coeffs[1:], 1)]))
 
 
 def tuple_product_sum(rows: Sequence[Sequence], strict: bool = True):

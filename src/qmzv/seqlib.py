@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
-from .exactnum import TruncSeries, UniPoly, det_hessenberg, series_exp, series_inv
+from .exactnum import TruncSeries, UniPoly, det_hessenberg, newton_exp, newton_log, series_inv
 from .util import fractionize
 
 
@@ -119,7 +119,8 @@ def seq_transform_forward(a: Sequence, m: int, route: str = "recurrence"):
     """b_m from a_1..a_m (both sequences implicitly start with index 0 = 1).
 
     The pair (a, b) is linked Newton-style: m b_m = sum_i (-1)^(i-1) a_i
-    b_{m-i}.  Routes: "recurrence" (that convolution), "determinant" (the
+    b_{m-i}.  Routes: "recurrence" (that convolution, run by
+    :func:`exactnum.newton_exp` on g_i = (-1)^(i-1) a_i), "determinant" (the
     (1/m!)-scaled Toeplitz-Hessenberg determinant with superdiagonal
     1..m-1), "partition" (Y_m(x)/m! summed over the partitions of m by
     :func:`bell_partition_sum`, x_j = (-1)^(j-1) (j-1)! a_j).
@@ -136,21 +137,15 @@ def seq_transform_forward(a: Sequence, m: int, route: str = "recurrence"):
         return det / Fraction(math.factorial(m))
     if route == "partition":
         return bell_partition_sum(m, _newton_bell_args(a, m)) / Fraction(math.factorial(m))
-    bs = [Fraction(1)]
-    for t in range(1, m + 1):
-        acc = 0
-        for i in range(1, t + 1):
-            term = a[i - 1] * bs[t - i]
-            acc = acc + (term if i % 2 == 1 else -term)
-        bs.append(acc / t)
-    return bs[m]
+    return newton_exp([x if i % 2 else -x for i, x in enumerate(a[:m], 1)])[m]
 
 
 def seq_transform_inverse(b: Sequence, n: int, route: str = "recurrence"):
     """a_n recovered from b_1..b_n; inverse of :func:`seq_transform_forward`.
 
     Routes: "determinant" (first column j*b_j, unit superdiagonal) and
-    "recurrence" (a_n = sum_{j<n} (-1)^(j-1) b_j a_{n-j} + (-1)^(n+1) n b_n).
+    "recurrence" (a_n = sum_{j<n} (-1)^(j-1) b_j a_{n-j} + (-1)^(n+1) n b_n,
+    which is -q_n of :func:`exactnum.newton_log` on f_j = (-1)^j b_j).
     """
     if len(b) < n:
         raise InsufficientInput(f"need {n} terms, got {len(b)}")
@@ -162,16 +157,7 @@ def seq_transform_inverse(b: Sequence, n: int, route: str = "recurrence"):
     if route == "determinant":
         first = [(i + 1) * b[i] for i in range(n)]
         return det_hessenberg(_hessenberg(first, b, [Fraction(1)] * (n - 1)))
-    res = [Fraction(1)]
-    for t in range(1, n + 1):
-        acc = 0
-        for j in range(1, t):
-            term = b[j - 1] * res[t - j]
-            acc = acc + (term if j % 2 == 1 else -term)
-        tail = t * b[t - 1]
-        acc = acc + (tail if (t + 1) % 2 == 0 else -tail)
-        res.append(acc)
-    return res[n]
+    return -newton_log([-x if j % 2 else x for j, x in enumerate(b[:n], 1)])[n]
 
 
 # H_0, H_1, ..., H_K: the prefix is extended in a loop, one addition per new
@@ -202,42 +188,35 @@ def hyperharmonic(n: int, k: int) -> Fraction:
     return row[-1]
 
 
-def degen_bernoulli(k: int, lam) -> Fraction:
-    """Degenerate Bernoulli number beta_k at lambda = 1/m for integer m >= 1.
+def degen_bernoulli_series(m: int, order: int) -> TruncSeries:
+    """t / ((1 + t/m)^m - 1) to the given order, inverted from the exact
+    binomial expansion: coefficient j is beta_j(1/m) / j! for every j < order."""
+    g = TruncSeries(order, [Fraction(math.comb(m, j + 1), m ** (j + 1)) for j in range(order)])
+    return series_inv(g)
 
-    Uses the exact binomial expansion of (1 + t/m)^m, so no symbolic limit
-    is involved; other lambdas raise UnsupportedLambda (use
-    :func:`degen_bernoulli_poly` and evaluate instead).
-    """
+
+def degen_bernoulli(k: int, lam) -> Fraction:
+    """Degenerate Bernoulli number beta_k at lambda = 1/m for integer m >= 1,
+    from :func:`degen_bernoulli_series`; other lambdas raise UnsupportedLambda
+    (use :func:`degen_bernoulli_poly` and evaluate instead)."""
     lam = Fraction(lam)
     if lam.numerator != 1 or lam.denominator < 1:
         raise UnsupportedLambda(f"lambda must be 1/m with integer m >= 1, got {lam}")
-    m = lam.denominator
-    g = TruncSeries(
-        k + 1,
-        [Fraction(math.comb(m, j + 1), m ** (j + 1)) for j in range(k + 1)],
-    )
-    beta = series_inv(g)
-    return beta.coeffs[k] * math.factorial(k)
+    return degen_bernoulli_series(lam.denominator, k + 1).coeffs[k] * math.factorial(k)
 
 
 @lru_cache(maxsize=None)
 def degen_bernoulli_poly(k: int) -> UniPoly:
     """beta_k as a polynomial in lambda.
 
-    Expands (1 + lambda*t)^(1/lambda) = exp(log(1 + lambda*t)/lambda) as a
-    series whose t-coefficients are polynomials in lambda, then inverts
-    ((1+lambda t)^(1/lambda) - 1)/t.
+    Expands (1 + lambda*t)^(1/lambda) = exp(log(1 + lambda*t)/lambda) by
+    :func:`exactnum.newton_exp` on g_j = (-lambda)^(j-1), whose t-coefficients
+    are polynomials in lambda, then inverts ((1+lambda t)^(1/lambda) - 1)/t.
     """
     if k < 0:
         raise ValueError("need k >= 0")
-    order = k + 2
-    log_coeffs = [UniPoly()]
-    for j in range(1, order):
-        log_coeffs.append(UniPoly([0] * (j - 1) + [Fraction((-1) ** (j - 1), j)]))
-    e = series_exp(TruncSeries(order, log_coeffs))
-    g = TruncSeries(k + 1, list(e.coeffs[1:]))
-    beta = series_inv(g)
+    e = newton_exp([UniPoly([0] * j + [Fraction((-1) ** j)]) for j in range(k + 1)])
+    beta = series_inv(TruncSeries(k + 1, e[1:]))
     c = beta.coeffs[k] * math.factorial(k)
     return c if isinstance(c, UniPoly) else UniPoly((Fraction(c),))
 

@@ -27,8 +27,8 @@ return the same rational:
 * closed forms for s = 1, 2, 3 and the degenerate-Bernoulli form for m = 1.
 
 The module also builds the subset-product polynomials F(s, l)(X, Y) from
-power sums (Newton's identities through series log and exp) and checks the
-bivariate log-identity that generates all of these values at once.
+power sums (Newton's identities, by ``exactnum``'s exp and log loops) and
+checks the bivariate log-identity that generates all of these values at once.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ from .cyclo import as_rational, cyclo_ctx
 from .exactnum import (
     TruncSeries,
     UniPoly,
+    newton_exp,
+    newton_log,
     poly_interpolate,
-    series_exp,
     series_log,
     subset_product_sums,
     tuple_product_sum,
@@ -58,7 +59,7 @@ from .qstirling import (
     stirling1,
 )
 from .seqlib import (
-    degen_bernoulli,
+    degen_bernoulli_series,
     elem_from_power_sums,
     seq_transform_forward,
     seq_transform_inverse,
@@ -227,8 +228,6 @@ def _multisection_is_cheaper(n: int, s: int) -> bool:
 @lru_cache(maxsize=None)
 def _product_row(n: int, s: int):
     """Rationalized full row Z_n(zeta_n; m, s) for m = 0..n-1."""
-    if n == 1:
-        return (Fraction(1),)
     if _multisection_is_cheaper(n, s):
         return _multisection_row(n, s)
     return _field_row(n, s)
@@ -397,15 +396,6 @@ def zeta_m3_closed(n: int, m: int) -> Fraction:
     return head - acc / n ** 2
 
 
-@lru_cache(maxsize=None)
-def _inv_qnums(n: int):
-    """Inverses of the q-numbers [i] at q = zeta_n for i = 1..n-1, as
-    1/[i] = (1 - zeta)/(1 - zeta^i)."""
-    ctx = cyclo_ctx(n)
-    one_minus_zeta = ctx.one() - ctx.zeta()
-    return tuple(one_minus_zeta * c for c in _inv_one_minus(n))
-
-
 def harmonic_q_series(n: int, parts, q=None):
     """Finite multiple harmonic q-series over decreasing index tuples:
 
@@ -413,7 +403,9 @@ def harmonic_q_series(n: int, parts, q=None):
     prod_j q^((s_j - 1) i_j) / ([i_j]_q)^(s_j).
 
     With q omitted the evaluation point is zeta_n and the result is a field
-    element (it is generally irrational); a rational q gives a Fraction.
+    element (it is generally irrational), and 1/[i]^(s_j) is (1 - zeta)^(s_j)
+    times the memoized (1 - zeta^i)^(-s_j) of ``_inv_pows``, with one power
+    of (1 - zeta) per distinct part.  A rational q gives a Fraction.
     """
     parts = tuple(parts)
     if not parts:
@@ -425,10 +417,11 @@ def harmonic_q_series(n: int, parts, q=None):
     m = len(parts)
     if q is None:
         ctx = cyclo_ctx(n)
-        inv = _inv_qnums(n)
+        one_minus_zeta = ctx.one() - ctx.zeta()
+        scales = {sj: one_minus_zeta ** sj for sj in set(parts)}
 
         def factor(sj, i):
-            return ctx.zeta_power((sj - 1) * i) * inv[i - 1] ** sj
+            return ctx.zeta_power((sj - 1) * i) * scales[sj] * _inv_pows(n, sj)[i - 1]
 
         zero = ctx.zero()
     else:
@@ -450,16 +443,11 @@ def harmonic_q_series(n: int, parts, q=None):
 
 def zeta_1s_degenerate_bernoulli(n: int, s: int) -> Fraction:
     """Z_n(zeta_n; 1, s) = -sum_j C(s-1, j-1) beta_j(1/n) n^j / j! with the
-    degenerate Bernoulli numbers beta_j."""
+    degenerate Bernoulli numbers beta_j, every beta_j / j! read from one
+    :func:`seqlib.degen_bernoulli_series` to order s + 1."""
     _validate(n, 1, s)
-    acc = Fraction(0)
-    for j in range(1, s + 1):
-        acc += (
-            math.comb(s - 1, j - 1)
-            * degen_bernoulli(j, Fraction(1, n))
-            * Fraction(n ** j, math.factorial(j))
-        )
-    return -acc
+    beta = degen_bernoulli_series(n, s + 1).coeffs
+    return -sum(math.comb(s - 1, j - 1) * beta[j] * n ** j for j in range(1, s + 1))
 
 
 def harmonic_bernoulli_identity_check(n: int, j: int) -> CheckResult:
@@ -470,7 +458,7 @@ def harmonic_bernoulli_identity_check(n: int, j: int) -> CheckResult:
     ctx = cyclo_ctx(n)
     lhs = harmonic_q_series(n, (j,))
     scale = (ctx.one() - ctx.zeta()) * n
-    rhs = (-degen_bernoulli(j, Fraction(1, n)) / math.factorial(j)) * scale ** j
+    rhs = -degen_bernoulli_series(n, j + 1).coeffs[j] * scale ** j
     result.record(lhs == rhs, n=n, j=j)
     return result
 
@@ -480,12 +468,9 @@ def harmonic_decomposition_check(n: int, s: int) -> CheckResult:
     q-series with (1-q)^j denominators, verified exactly in Q(zeta_n):
     Z_n(q; 1, s) = sum_j C(s-1, j-1) z_n(q; j) / (1-q)^j at q = zeta_n."""
     result = CheckResult(["harmonic-decomposition"])
-    inv_one_minus_zeta = _inv_one_minus(n)[0]
     rhs = cyclo_ctx(n).zero()
     for j in range(1, s + 1):
-        rhs = rhs + math.comb(s - 1, j - 1) * (
-            harmonic_q_series(n, (j,)) * inv_one_minus_zeta ** j
-        )
+        rhs = rhs + math.comb(s - 1, j - 1) * (harmonic_q_series(n, (j,)) * _inv_pows(n, j)[0])
     result.record(rhs == _zeta_single(n, s), n=n, s=s)
     return result
 
@@ -497,9 +482,10 @@ def f_poly(s: int, l: int) -> UniPoly:
 
     The alpha are the roots of (1 - Y)^s + X, so prod_i (1 - alpha_i Y) =
     sum_j (-1)^j e_j Y^j with e_j = C(s, j) + [j = s] X, and its log is
-    -sum_k p_k(alpha) Y^k / k.  The subset products beta have power sums
-    p_k(beta) = e_l(alpha^k), Newton's transform of p_k, p_2k, ..., p_lk,
-    and F is the exp of -sum_k p_k(beta) Y^k / k cut at its degree C(s, l).
+    -sum_k p_k(alpha) Y^k / k, so ``newton_log`` returns -p_k(alpha).  The
+    subset products beta have power sums p_k(beta) = e_l(alpha^k), Newton's
+    transform of p_k, p_2k, ..., p_lk, and F is the exp of -sum_k p_k(beta)
+    Y^k / k cut at its degree C(s, l): ``newton_exp`` on g_k = -p_k(beta).
     No root extension is ever constructed; F(s, 0) is 1 - Y by convention.
     """
     if s < 1 or l < 0 or l > s:
@@ -510,13 +496,10 @@ def f_poly(s: int, l: int) -> UniPoly:
     deg = math.comb(s, l)
     e = [one_x * ((-1) ** j * math.comb(s, j)) for j in range(s + 1)]
     e[s] = e[s] + UniPoly((0, Fraction((-1) ** s)))
-    p = [-k * c for k, c in enumerate(series_log(TruncSeries(l * deg + 1, e)).coeffs)]
-    log_beta = [UniPoly()] + [
-        -seq_transform_forward(p[k::k][:l], l) / k for k in range(1, deg + 1)
-    ]
-    f = series_exp(TruncSeries(deg + 1, log_beta))
-    # series_exp's constant term is the rational 1, not the polynomial one
-    return UniPoly((one_x,) + f.coeffs[1:])
+    p = [-q for q in newton_log(e[1:] + [UniPoly()] * (l * deg - s))]
+    f = newton_exp([-seq_transform_forward(p[k::k][:l], l) for k in range(1, deg + 1)])
+    # newton_exp's e_0 is the integer 1, not the polynomial one
+    return UniPoly([one_x] + f[1:])
 
 
 def logf_identity_check(s: int, trunc: int = 12) -> CheckResult:
@@ -589,7 +572,7 @@ def zeta_poly_in_n(m: int, s: int, degree_cap: int = 16) -> UniPoly:
     if deg > degree_cap:
         raise BadParams(f"degree {deg} exceeds cap {degree_cap}")
     xs = list(range(m + 1, m + 1 + deg + 3))
-    pts = [(Fraction(x), _zeta_multi(x, m, s) if x >= 2 else Fraction(1)) for x in xs]
+    pts = [(Fraction(x), _zeta_multi(x, m, s)) for x in xs]
     p = poly_interpolate(pts)
     if p.degree() is not None and p.degree() > deg:
         raise DegreeMismatch(f"interpolant degree {p.degree()} exceeds {deg}")

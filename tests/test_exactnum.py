@@ -17,6 +17,8 @@ from qmzv.exactnum import (
     det_cofactor,
     det_fraction_free,
     det_hessenberg,
+    newton_exp,
+    newton_log,
     poly_divmod,
     poly_interpolate,
     power,
@@ -309,6 +311,56 @@ def test_series_truncation_locality():
     b = TruncSeries(5, [1, 1, 1, 1, 1])
     c = TruncSeries(3, [1, 2, 3]) * TruncSeries(3, [1, 1, 1])
     assert (a * b).coeffs[:3] == c.coeffs
+
+
+# ------------------------------------------------------------ Newton loops
+
+
+def _newton_values():
+    """Explicit values in three rings: Fraction, UniPoly in X, Q(zeta_7)."""
+    x = UniPoly((F(0), F(1)))
+    one = UniPoly((F(1),))
+    ctx = cyclo_ctx(7)
+    z = ctx.zeta()
+    return [
+        [F(2), F(-1, 3), F(5, 7), F(1), F(-4), F(3, 2)],
+        [x + 1, 2 * x - 3, x * x + F(1, 2), -x, one * 3],
+        [ctx.one() - z, z ** 2 + 3, z ** 3 / 2, ctx.one() * F(-5, 4), z + z ** 4, -z ** 6],
+    ]
+
+
+def test_newton_loops_give_elementary_and_power_sums_in_every_ring():
+    top = 8
+    for vals in _newton_values():
+        p = [sum((v ** j for v in vals), 0) for j in range(1, top + 1)]
+        e = [sum((prod(c) for c in combinations(vals, k)), 0) for k in range(top + 1)]
+        assert all(e[k] == 0 for k in range(len(vals) + 1, top + 1))
+        got = newton_exp([pj if j % 2 else -pj for j, pj in enumerate(p, 1)])
+        assert len(got) == top + 1
+        for k in range(top + 1):
+            assert got[k] == e[k], (vals, k)
+        got = newton_log([ej if j % 2 == 0 else -ej for j, ej in enumerate(e[1:], 1)])
+        assert got[0] == 0
+        for k in range(1, top + 1):
+            assert got[k] == -p[k - 1], (vals, k)
+
+
+def test_newton_loops_on_a_sparse_input_and_at_order_one():
+    # exp(c t^3 / 3) = sum_i (c/3)^i t^(3i) / i!;
+    # 3i [t^(3i)] log(1 + c t^3) = 3 (-1)^(i-1) c^i
+    for vals in _newton_values():
+        c = vals[1]
+        sparse = [0, 0, c] + [0] * 7
+        got = newton_exp(sparse)
+        for k in range(len(sparse) + 1):
+            want = (c / 3) ** (k // 3) / factorial(k // 3) if k % 3 == 0 else 0
+            assert got[k] == want, (c, k)
+        got = newton_log(sparse)
+        for k in range(len(sparse) + 1):
+            want = 3 * (-1) ** (k // 3 - 1) * c ** (k // 3) if k and k % 3 == 0 else 0
+            assert got[k] == want, (c, k)
+    assert newton_exp([]) == [1]
+    assert newton_log([]) == [0]
 
 
 # ------------------------------------------------------------ repeated squaring

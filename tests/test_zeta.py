@@ -228,15 +228,24 @@ def test_m3_closed_matches_brute():
 
 
 def test_harmonic_q_series_direct_field_oracle():
-    n = 3
-    ctx = cyclo_ctx(n)
-    want = ctx.zero()
-    for i in (1, 2):
-        qn = ctx.zero()
-        for t in range(i):
-            qn = qn + ctx.zeta_power(t)
-        want = want + qn.inverse()
-    assert harmonic_q_series(3, (1,)) == want
+    # literal sum over n-1 >= i_1 > ... > i_m >= 1 of
+    # prod_j zeta^((s_j-1) i_j) / [i_j]^(s_j), with [i] summed from powers of zeta
+    for n in (3, 5, 6, 7, 8, 9, 12):
+        ctx = cyclo_ctx(n)
+        inv_qnum = {}
+        for i in range(1, n):
+            qn = ctx.zero()
+            for t in range(i):
+                qn = qn + ctx.zeta_power(t)
+            inv_qnum[i] = qn.inverse()
+        for parts in ((1,), (2,), (3,), (2, 1), (1, 3), (2, 2, 1)):
+            want = ctx.zero()
+            for idx in combinations(range(n - 1, 0, -1), len(parts)):
+                term = ctx.one()
+                for sj, i in zip(parts, idx):
+                    term = term * ctx.zeta_power((sj - 1) * i) * inv_qnum[i] ** sj
+                want = want + term
+            assert harmonic_q_series(n, parts) == want, (n, parts)
 
 
 def test_harmonic_q_series_empty_range():
