@@ -3,6 +3,11 @@ series, determinant routines, the two Newton loops (``newton_exp``,
 ``newton_log``) and the two tuple-sum enumerators (``tuple_product_sum``,
 ``subset_product_sums``) over generic commutative coefficient rings.
 
+``UniPoly`` products of integer polynomials (every coefficient exactly
+``int``) whose shorter operand has at least ``_KRONECKER_MIN_LEN``
+coefficients run as one big-int product by Kronecker substitution; every
+other coefficient ring, and shorter operands, use the schoolbook loop.
+
 Scalars are plain ints and ``fractions.Fraction``.  A "ring element" below is
 any immutable value supporting ``+``, ``-``, ``*`` and ``== 0`` against the
 other coefficient types in play: Fraction, UniPoly itself (nesting a UniPoly
@@ -93,6 +98,16 @@ def power(base, k: int, one):
     return result
 
 
+# Shortest operand at which UniPoly.__mul__ multiplies integer polynomials by
+# Kronecker substitution.  Measured on a 2-core Xeon VM (Python 3.11.7), the
+# big-int path overtakes the schoolbook loop at about 10-12 coefficients on
+# both sides (schoolbook against big-int at 40-bit coefficients: 8 x 8 takes
+# 19 against 21 us, 12 x 12 39 against 29 us), and at 4-6 when the other
+# operand is long (6 x 300).  The symbolic-q Stirling orthogonality checks,
+# r, s <= 3 and n <= 14, take the same time within noise for cut-overs 6-12.
+_KRONECKER_MIN_LEN = 12
+
+
 class UniPoly:
     """Dense univariate polynomial over a generic coefficient ring.
 
@@ -153,6 +168,16 @@ class UniPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product with a scalar or with another UniPoly.
+
+        When every coefficient of both operands is exactly ``int`` and the
+        shorter one has at least ``_KRONECKER_MIN_LEN`` coefficients, the
+        product is one big-int product (Kronecker substitution): each operand
+        is packed into one int with w bytes per coefficient, and the product
+        is read back slot by slot.  Every other coefficient ring (Fraction,
+        mixed int/Fraction, nested UniPoly, CycloElem) and shorter operands
+        use the schoolbook double loop.
+        """
         if not isinstance(other, UniPoly):
             if _is_zero(other):
                 return UniPoly()
@@ -160,6 +185,29 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UniPoly()
+        if (
+            min(len(a), len(b)) >= _KRONECKER_MIN_LEN
+            and all(type(c) is int for c in a)
+            and all(type(c) is int for c in b)
+        ):
+            # Each product coefficient sums at most min(len a, len b) terms,
+            # so |c_k| <= bound; as max|a|, max|b| >= 1 the bound covers the
+            # operands' coefficients too.  w bytes leave at least one bit
+            # above the bound, so offsetting every slot by half = 2^(8w-1)
+            # keeps it in [0, 2^(8w)): packing is one join, and each slot of
+            # the product reads back with no borrow from its neighbours.
+            bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+            w = bound.bit_length() // 8 + 1
+            half = 1 << (8 * w - 1)
+            offset = bytes(w - 1) + b"\x80"
+            n = len(a) + len(b) - 1
+            fb = int.from_bytes
+            pa = fb(b"".join((c + half).to_bytes(w, "little") for c in a), "little")
+            pb = fb(b"".join((c + half).to_bytes(w, "little") for c in b), "little")
+            pa -= fb(offset * len(a), "little")
+            pb -= fb(offset * len(b), "little")
+            raw = (pa * pb + fb(offset * n, "little")).to_bytes(w * n, "little")
+            return UniPoly([fb(raw[k : k + w], "little") - half for k in range(0, w * n, w)])
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if _is_zero(ai):

@@ -7,6 +7,7 @@ import pytest
 
 from qmzv.cyclo import cyclo_ctx
 from qmzv.exactnum import (
+    _KRONECKER_MIN_LEN,
     BadConstantTerm,
     DivisionByZero,
     DuplicateAbscissa,
@@ -116,6 +117,71 @@ def test_unipoly_degree_multiplicative_over_domain():
             assert (a * b).is_zero()
         else:
             assert (a * b).degree() == a.degree() + b.degree()
+
+
+def _schoolbook(a, b):
+    # the reference product: the plain double loop, recursing into nested
+    # polynomial coefficients so that no product inside it runs UniPoly.__mul__
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            both_poly = isinstance(ai, UniPoly) and isinstance(bj, UniPoly)
+            out[i + j] = out[i + j] + (_schoolbook(ai.coeffs, bj.coeffs) if both_poly else ai * bj)
+    return UniPoly(out)
+
+
+def _int_coeffs(rng, length, bound):
+    # signed coefficients up to bound, about a fifth of them interior zeros
+    cs = [rng.randint(-bound, bound) if rng.random() < 0.8 else 0 for _ in range(length)]
+    cs[-1] = cs[-1] or bound
+    return cs
+
+
+def _assert_int_product(a, b):
+    want = _schoolbook(a, b)
+    for got in (UniPoly(a) * UniPoly(b), UniPoly(b) * UniPoly(a)):
+        assert got.coeffs == want.coeffs
+        assert all(type(c) is int for c in got.coeffs)
+
+
+def test_integer_products_equal_the_schoolbook_reference():
+    rng = random.Random(29)
+    cut = _KRONECKER_MIN_LEN
+    shapes = [(1, 300), (7, 40), (cut - 1, cut - 1), (cut - 1, 3 * cut), (cut, cut),
+              (cut, cut + 1), (cut + 1, 300), (60, 60), (150, 151)]
+    for la, lb in shapes:
+        for bound in (1, 9, 2**63, 10**40):
+            _assert_int_product(_int_coeffs(rng, la, bound), _int_coeffs(rng, lb, bound))
+
+
+def test_integer_products_at_byte_width_edges():
+    # equal-sign operands reach the coefficient bound min(la, lb)·max|a|·max|b|
+    # exactly, opposite signs its negative; alternating signs fill every slot
+    cut = _KRONECKER_MIN_LEN
+    for k in (1, 2, 3, 8):
+        for v in (2 ** (8 * k) - 1, 2 ** (8 * k - 1), 2 ** (8 * k)):
+            for la, lb in ((cut, cut), (cut, 3 * cut + 1), (2 * cut + 3, 2 * cut)):
+                for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                    _assert_int_product([sa * v] * la, [sb * v] * lb)
+                _assert_int_product([(-1) ** i * v for i in range(la)], [v] * lb)
+                _assert_int_product([v, 0, -v] * la, [-1, v - 1, 0, 1] * lb)
+
+
+def test_products_over_other_rings_equal_the_schoolbook_reference():
+    rng = random.Random(31)
+    cut = _KRONECKER_MIN_LEN
+    for la, lb in ((cut - 1, cut), (cut, cut), (cut + 2, 40)):
+        # one Fraction among ints: the schoolbook loop, exact Fraction results
+        a = _int_coeffs(rng, la, 10**20)
+        b = _int_coeffs(rng, lb, 10**20)
+        a[la // 2] = F(3, 7)
+        assert (UniPoly(a) * UniPoly(b)).coeffs == _schoolbook(a, b).coeffs
+        # nested integer polynomials, each long enough for the big-int path
+        a = [UniPoly(_int_coeffs(rng, cut + 3, 10**12)) for _ in range(la)]
+        b = [UniPoly(_int_coeffs(rng, cut, 10**12)) for _ in range(lb)]
+        got = UniPoly(a) * UniPoly(b)
+        assert got.coeffs == _schoolbook(a, b).coeffs
+        assert all(type(c) is int for inner in got.coeffs for c in inner.coeffs)
 
 
 def test_poly_divmod_roundtrip():

@@ -311,14 +311,19 @@ def test_concurrent_table_growth_is_consistent():
 
 
 def test_symbolic_table_evaluates_at_rational():
+    # entries of degree up to a few hundred in q: the symbolic fill multiplies
+    # long integer polynomials, checked here against Fraction arithmetic
     qv = F(3, 2)
     rat = RationalQ(qv)
-    for n in range(0, 7):
-        for k in range(0, n + 1):
-            sym_entry = stirling1(n, k, 1, 2, SYM)
-            want = stirling1(n, k, 1, 2, rat)
-            got = sym_entry(qv) if isinstance(sym_entry, UniPoly) else sym_entry
-            assert got == want
+    for kind in (stirling1, stirling2):
+        for r in (1, 2):
+            for s in (1, 2, 3):
+                for n in range(0, 15):
+                    for k in range(0, n + 1):
+                        sym_entry = kind(n, k, r, s, SYM)
+                        want = kind(n, k, r, s, rat)
+                        got = sym_entry(qv) if isinstance(sym_entry, UniPoly) else sym_entry
+                        assert got == want, (kind.__name__, r, s, n, k)
 
 
 def test_stirling_deep_row_has_no_recursion_limit():
