@@ -6,7 +6,12 @@ series, determinant routines, the two Newton loops (``newton_exp``,
 ``UniPoly`` products of integer polynomials (every coefficient exactly
 ``int``) whose shorter operand has at least ``_KRONECKER_MIN_LEN``
 coefficients run as one big-int product by Kronecker substitution; every
-other coefficient ring, and shorter operands, use the schoolbook loop.
+other coefficient ring, and shorter operands, use the schoolbook loop.  The
+substitution itself is three shared helpers: ``kronecker_width`` gives the
+bytes per coefficient for a bound on the coefficients, ``kronecker_pack``
+evaluates an integer polynomial at q = 2^(8w), and ``kronecker_unpack``
+reads the coefficients back.  ``qstirling.orthogonality_check`` packs each
+symbolic triangle entry once with them and sums plain ints.
 
 Scalars are plain ints and ``fractions.Fraction``.  A "ring element" below is
 any immutable value supporting ``+``, ``-``, ``*`` and ``== 0`` against the
@@ -108,6 +113,40 @@ def power(base, k: int, one):
 _KRONECKER_MIN_LEN = 12
 
 
+def kronecker_width(bound: int) -> int:
+    """Bytes per coefficient w for Kronecker substitution at q = 2^(8w):
+    the least w with bound < 2^(8w-1), so that every integer of absolute
+    value at most ``bound`` packs and unpacks with one bit to spare."""
+    return bound.bit_length() // 8 + 1
+
+
+def kronecker_pack(coeffs: Sequence[int], w: int) -> int:
+    """The value at q = 2^(8w) of the integer polynomial ``coeffs`` (lowest
+    degree first), each coefficient of absolute value below 2^(8w-1).
+
+    Every slot is offset by half = 2^(8w-1) so that it lies in [0, 2^(8w))
+    and packing is one ``bytes.join``; the offsets are then taken off again
+    as one int.
+    """
+    half = 1 << (8 * w - 1)
+    fb = int.from_bytes
+    packed = fb(b"".join((c + half).to_bytes(w, "little") for c in coeffs), "little")
+    return packed - fb((bytes(w - 1) + b"\x80") * len(coeffs), "little")
+
+
+def kronecker_unpack(value: int, w: int, n: int) -> list:
+    """The n coefficients of the integer polynomial whose value at q = 2^(8w)
+    is ``value``, given that each has absolute value below 2^(8w-1).
+
+    Adding half = 2^(8w-1) to every slot keeps each one in [0, 2^(8w)), so
+    each reads back from its own w bytes with no borrow from a neighbour.
+    """
+    half = 1 << (8 * w - 1)
+    fb = int.from_bytes
+    raw = (value + fb((bytes(w - 1) + b"\x80") * n, "little")).to_bytes(w * n, "little")
+    return [fb(raw[k : k + w], "little") - half for k in range(0, w * n, w)]
+
+
 class UniPoly:
     """Dense univariate polynomial over a generic coefficient ring.
 
@@ -173,8 +212,9 @@ class UniPoly:
         When every coefficient of both operands is exactly ``int`` and the
         shorter one has at least ``_KRONECKER_MIN_LEN`` coefficients, the
         product is one big-int product (Kronecker substitution): each operand
-        is packed into one int with w bytes per coefficient, and the product
-        is read back slot by slot.  Every other coefficient ring (Fraction,
+        is packed into one int with w bytes per coefficient
+        (``kronecker_pack``), and the product is read back slot by slot
+        (``kronecker_unpack``).  Every other coefficient ring (Fraction,
         mixed int/Fraction, nested UniPoly, CycloElem) and shorter operands
         use the schoolbook double loop.
         """
@@ -192,22 +232,10 @@ class UniPoly:
         ):
             # Each product coefficient sums at most min(len a, len b) terms,
             # so |c_k| <= bound; as max|a|, max|b| >= 1 the bound covers the
-            # operands' coefficients too.  w bytes leave at least one bit
-            # above the bound, so offsetting every slot by half = 2^(8w-1)
-            # keeps it in [0, 2^(8w)): packing is one join, and each slot of
-            # the product reads back with no borrow from its neighbours.
-            bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-            w = bound.bit_length() // 8 + 1
-            half = 1 << (8 * w - 1)
-            offset = bytes(w - 1) + b"\x80"
-            n = len(a) + len(b) - 1
-            fb = int.from_bytes
-            pa = fb(b"".join((c + half).to_bytes(w, "little") for c in a), "little")
-            pb = fb(b"".join((c + half).to_bytes(w, "little") for c in b), "little")
-            pa -= fb(offset * len(a), "little")
-            pb -= fb(offset * len(b), "little")
-            raw = (pa * pb + fb(offset * n, "little")).to_bytes(w * n, "little")
-            return UniPoly([fb(raw[k : k + w], "little") - half for k in range(0, w * n, w)])
+            # operands' coefficients too.
+            w = kronecker_width(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
+            product = kronecker_pack(a, w) * kronecker_pack(b, w)
+            return UniPoly(kronecker_unpack(product, w, len(a) + len(b) - 1))
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if _is_zero(ai):

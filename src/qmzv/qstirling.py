@@ -27,7 +27,13 @@ from itertools import islice
 from threading import Lock, RLock
 
 from .cyclo import CycloCtx, cyclo_ctx
-from .exactnum import UniPoly, subset_product_sums, tuple_product_sum
+from .exactnum import (
+    UniPoly,
+    kronecker_pack,
+    kronecker_width,
+    subset_product_sums,
+    tuple_product_sum,
+)
 from .util import CheckResult
 
 
@@ -304,29 +310,64 @@ def stirling2_iterated(n: int, k: int, r: int = 1, s: int = 1, q: QPoint = Symbo
     return nested, monotone
 
 
+def _packed(matrices, n_max: int):
+    """The matrices with every ``UniPoly`` entry replaced by its value at
+    q = 2^(8w), for one byte width w that covers every signed sum of
+    ``orthogonality_check`` at this n_max (see there); other entries stay."""
+    polys = [e.coeffs for rows in matrices for row in rows for e in row if isinstance(e, UniPoly)]
+    longest = max(map(len, polys), default=0)
+    top = max((abs(c) for cs in polys for c in cs), default=0)
+    w = kronecker_width((n_max + 1) * longest * top * top + 1)
+    return [
+        [[kronecker_pack(e.coeffs, w) if isinstance(e, UniPoly) else e for e in row] for row in rows]
+        for rows in matrices
+    ]
+
+
 def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = SymbolicQ()) -> CheckResult:
     """Verify both inversion identities between the two triangles.
 
     For all n, m <= n_max checks
     sum_k (-1)^(n-k) [n k] {k m} = delta(n, m) and
     sum_k (-1)^(k-m) {n k} [k m] = delta(n, m).
+
+    Both triangles are read once, through the tables' own ``entry``, into
+    (n_max+1) x (n_max+1) matrices.  At a symbolic q every entry is then
+    replaced by its value at q = 2^(8w), one int, and the sums run on plain
+    ints.  Each sum minus delta has at most n_max+1 terms, each a product of
+    two entries with at most L coefficients of absolute value at most M
+    (the longest entry and the largest coefficient of either triangle), so
+    its coefficients are at most B = (n_max+1) L M^2 + 1 in absolute value,
+    and w = ``kronecker_width(B)`` gives B < 2^(8w-1).  That makes the
+    comparison with delta exact by one lemma: an integer polynomial whose
+    coefficients are all at most 2^(8w-1) in absolute value is zero exactly
+    when its value at 2^(8w) is zero.  (If c q^j is its lowest nonzero term,
+    the value is 2^(8wj) (c + 2^(8w) t) for an integer t, and 0 < |c| <
+    2^(8w).)  Rational and root-of-unity points sum in their own ring.
     """
-    first = _table("first", r, s, q)
-    second = _table("second", r, s, q)
+    if n_max < 0:
+        raise BadParams("need n_max >= 0")
+    size = n_max + 1
+    first = _table("first", r, s, q).entry
+    second = _table("second", r, s, q).entry
+    fs = [[first(n, k) for k in range(size)] for n in range(size)]
+    ss = [[second(n, k) for k in range(size)] for n in range(size)]
+    if isinstance(q, SymbolicQ):
+        fs, ss = _packed((fs, ss), n_max)
     result = CheckResult(["orthogonality"])
-    for n in range(n_max + 1):
-        for m in range(n_max + 1):
+    for n in range(size):
+        for m in range(size):
             hi = max(n, m)
             acc1 = 0
             acc2 = 0
             for k in range(hi + 1):
-                f_nk = first.entry(n, k)
-                s_km = second.entry(k, m)
+                f_nk = fs[n][k]
+                s_km = ss[k][m]
                 if not (f_nk == 0 or s_km == 0):
                     t = f_nk * s_km
                     acc1 = acc1 + (t if (n - k) % 2 == 0 else -t)
-                s_nk = second.entry(n, k)
-                f_km = first.entry(k, m)
+                s_nk = ss[n][k]
+                f_km = fs[k][m]
                 if not (s_nk == 0 or f_km == 0):
                     t = s_nk * f_km
                     acc2 = acc2 + (t if (k - m) % 2 == 0 else -t)

@@ -18,6 +18,9 @@ from qmzv.exactnum import (
     det_cofactor,
     det_fraction_free,
     det_hessenberg,
+    kronecker_pack,
+    kronecker_unpack,
+    kronecker_width,
     newton_exp,
     newton_log,
     poly_divmod,
@@ -165,6 +168,24 @@ def test_integer_products_at_byte_width_edges():
                     _assert_int_product([sa * v] * la, [sb * v] * lb)
                 _assert_int_product([(-1) ** i * v for i in range(la)], [v] * lb)
                 _assert_int_product([v, 0, -v] * la, [-1, v - 1, 0, 1] * lb)
+
+
+def test_kronecker_pack_at_a_bound_of_a_whole_number_of_bytes():
+    # bound = 2^(8k-1): a sum of packed terms whose every coefficient is
+    # +bound, or every one -bound, reads back exactly at the width the bound
+    # gives.  At width k the bound is the lemma's edge, 2^(8w-1): such a sum
+    # cannot be unpacked there, but its value is still nonzero.
+    for k in (1, 2, 3, 8):
+        bound = 2 ** (8 * k - 1)
+        w = kronecker_width(bound)
+        for sign in (1, -1):
+            for n in (1, 5, 40):
+                total = kronecker_pack([sign * (bound - 1)] * n, w) + kronecker_pack([sign] * n, w)
+                assert total == kronecker_pack([sign * bound] * n, w)
+                assert total == sign * bound * sum(2 ** (8 * w * i) for i in range(n))
+                assert kronecker_unpack(total, w, n) == [sign * bound] * n
+                edge = 2 * kronecker_pack([sign * bound // 2] * n, k)
+                assert edge == sign * bound * sum(2 ** (8 * k * i) for i in range(n)) != 0
 
 
 def test_products_over_other_rings_equal_the_schoolbook_reference():

@@ -3,8 +3,9 @@ from functools import lru_cache
 
 import pytest
 
+from qmzv import qstirling
 from qmzv.cyclo import cyclo_ctx
-from qmzv.exactnum import UniPoly
+from qmzv.exactnum import UniPoly, kronecker_unpack, kronecker_width
 from qmzv.qstirling import (
     BadParams,
     RationalQ,
@@ -240,6 +241,92 @@ def test_orthogonality_diagonal_case():
     # n = m term is 1 for both identities even below the offset r
     res = orthogonality_check(3, 3, 1, SYM)
     assert res.passed
+
+
+def test_orthogonality_refuses_a_negative_n_max():
+    for q in (SYM, Q1, RootOfUnityQ(5)):
+        with pytest.raises(BadParams):
+            orthogonality_check(-1, 1, 1, q)
+        res = orthogonality_check(0, 2, 2, q)
+        assert res.passed and res.cases == 2
+
+
+def test_orthogonality_symbolic_at_the_benchmark_sizes():
+    # the widest packed widths: at s = 3 the entries have up to 235
+    # coefficients of up to 93 bits
+    for r in (1, 2, 3):
+        for s in (1, 2, 3):
+            res = orthogonality_check(14, r, s, SYM)
+            assert res.passed and res.cases == 2 * 15 * 15
+
+
+def _reference_failures(r, s, n_max):
+    # both identities summed as plain UniPolys over the shared tables' entries
+    first = [[stirling1(n, k, r, s, SYM) for k in range(n_max + 1)] for n in range(n_max + 1)]
+    second = [[stirling2(n, k, r, s, SYM) for k in range(n_max + 1)] for n in range(n_max + 1)]
+    failures = []
+    for n in range(n_max + 1):
+        for m in range(n_max + 1):
+            ks = range(max(n, m) + 1)
+            sum1 = sum((UniPoly(((-1) ** (n - k),)) * first[n][k] * second[k][m] for k in ks), UniPoly())
+            sum2 = sum((UniPoly(((-1) ** (k - m),)) * second[n][k] * first[k][m] for k in ks), UniPoly())
+            delta = UniPoly((int(n == m),))
+            failures += [{"identity": i, "n": n, "m": m} for i, v in ((1, sum1), (2, sum2)) if v != delta]
+    return failures
+
+
+def _check_width(r, s, n_max):
+    # the check's width for the current tables: (n_max+1) L M^2 + 1
+    rows = [(fn, n) for fn in (stirling1, stirling2) for n in range(n_max + 1)]
+    entries = [e.coeffs for fn, n in rows for k in range(n + 1) if (e := fn(n, k, r, s, SYM)) != 0]
+    longest = max(map(len, entries))
+    top = max(abs(c) for cs in entries for c in cs)
+    return kronecker_width((n_max + 1) * longest * top * top + 1)
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+@pytest.mark.parametrize("fault", ["+1", "-1", "alias"])
+def test_orthogonality_records_a_corrupted_entry(monkeypatch, kind, fault):
+    # fresh tables for this test only; monkeypatch puts the shared ones back
+    monkeypatch.setattr(qstirling, "_TABLES", {})
+    r, s, n_max, n0, k0 = 2, 2, 9, 8, 4
+    assert orthogonality_check(n_max, r, s, SYM).passed
+    col = qstirling._table(kind, r, s, SYM)._cols[k0]
+    entry = col[n0 - k0]
+    if fault == "alias":
+        # q^(j+1) - 2^(8w) q^j vanishes at q = 2^(8w) for the clean width w
+        w = _check_width(r, s, n_max)
+        j = entry.degree() // 2
+        delta = UniPoly([0] * j + [-(2 ** (8 * w)), 1])
+        assert delta(2 ** (8 * w)) == 0
+    else:
+        delta = UniPoly((int(fault),))
+    col[n0 - k0] = entry + delta
+    res = orthogonality_check(n_max, r, s, SYM)
+    want = _reference_failures(r, s, n_max)
+    assert want and res.failures == want
+    assert res.cases == 2 * (n_max + 1) ** 2
+
+
+def test_packed_width_covers_the_largest_signed_sum():
+    # every entry M (1 + q + ... + q^(L-1)) and all n_max+1 terms of one sign:
+    # the middle coefficient of the sum reaches (n_max+1) L M^2, and minus
+    # delta one more; each must read back exactly at the check's width
+    for n_max in (0, 3, 14):
+        for length in (1, 2, 7, 30):
+            for bits in range(1, 70, 3):
+                for top in (2**bits - 1, 2**bits):
+                    worst = UniPoly([top] * length)
+                    rows = [[worst] * (n_max + 1) for _ in range(n_max + 1)]
+                    # q itself packs to 2^(8w), which gives the width used
+                    (packed, gen), _ = qstirling._packed(([rows[0], [UniPoly((0, 1))]], rows), n_max)
+                    w = gen[0].bit_length() // 8
+                    product = worst * worst
+                    for sign in (1, -1):
+                        total = sign * (n_max + 1) * packed[0] * packed[0] - 1
+                        want = [sign * (n_max + 1) * c for c in product.coeffs]
+                        want[0] -= 1
+                        assert kronecker_unpack(total, w, len(want)) == want
 
 
 # ----------------------------------------------------------------- rstirling
