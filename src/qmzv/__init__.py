@@ -10,14 +10,12 @@ numbers.
 """
 
 from .exactnum import (
-    Rat,
     TruncSeries,
     UniPoly,
     det_cofactor,
     det_fraction_free,
     det_hessenberg,
     poly_interpolate,
-    rat_arith,
     series_exp,
     series_inv,
     series_log,

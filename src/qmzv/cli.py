@@ -48,8 +48,11 @@ def _format_value(v) -> str:
 
 def _emit(text: str, out):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise BadParams(f"cannot write --out {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -72,6 +75,14 @@ def _render_rows(fmt, header, rows, out, json_payload):
         _emit("\n".join(lines) + "\n", out)
 
 
+def _approx(v) -> float:
+    """The ``--approx`` float of v; a value beyond float range is refused."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise BadParams("--approx: the value is beyond the range of a float") from None
+
+
 def _budget(args) -> int:
     """The brute-force tuple budget: ``--budget``, else ``QMZV_BUDGET``, else
     the default; a negative budget is refused."""
@@ -91,13 +102,14 @@ def cmd_value(args) -> int:
     row = [args.n, args.m, args.s, zv.method, str(zv.value)]
     payload = dict(zip(header, row))
     if args.approx:
-        payload["approx"] = float(zv.value)
+        approx = _approx(zv.value)
+        payload["approx"] = approx
         header.append("approx")
-        row.append(repr(float(zv.value)))
+        row.append(repr(approx))
     if args.format == "text":
         text = f"Z(n={args.n}; m={args.m}, s={args.s}) = {zv.value} [{zv.method}]"
         if args.approx:
-            text += f" (approx {float(zv.value)!r})"
+            text += f" (approx {approx!r})"
         _emit(text + "\n", args.out)
     else:
         _render_rows(args.format, header, [row], args.out, payload)
@@ -107,7 +119,7 @@ def cmd_value(args) -> int:
 def _value_rows(index, values, approx):
     """Header and rows [i, value] (plus a decimal approximation) of a list."""
     header = [index, "value"] + (["approx"] if approx else [])
-    return header, [[i, str(v)] + ([repr(float(v))] if approx else []) for i, v in enumerate(values)]
+    return header, [[i, str(v)] + ([repr(_approx(v))] if approx else []) for i, v in enumerate(values)]
 
 
 def _triangle(n_max, entry):

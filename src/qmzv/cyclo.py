@@ -11,8 +11,10 @@ positive denominator, the layout of FLINT's ``fmpq_poly``: the value is
 gcd(den, num[0], num[1], ...) == 1, so it is canonical and equality is a
 tuple comparison.  Products and sums therefore run on Python ints only; a
 common denominator is reduced once per operation instead of once per
-coordinate.  ``coords`` gives the rational coordinates (integral ones as
-ints, the others as Fractions).
+coordinate.  Products convolve coordinates with ``exactnum.int_poly_mul``,
+``UniPoly``'s integer product (Kronecker substitution from phi(n) >= 16).
+``CycloCtx.element`` builds an element from rational coordinates, and
+``coords`` gives them back (integral ones as ints, the others as Fractions).
 
 The inverses 1/(1 - zeta^i) have a closed form (``inv_one_minus_power``)
 that needs no field multiplication.  ``CycloElem.inverse`` takes any other
@@ -35,7 +37,7 @@ from functools import lru_cache
 
 # poly_xgcd has no caller here; it stays importable because the benchmark's
 # self-test (bench/test_harness.py) patches and restores cyclo.poly_xgcd.
-from .exactnum import UniPoly, poly_divmod, poly_xgcd, power  # noqa: F401
+from .exactnum import UniPoly, int_poly_mul, poly_divmod, poly_xgcd, power  # noqa: F401
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -108,15 +110,15 @@ class CycloCtx:
     def __repr__(self):
         return f"CycloCtx(n={self.n})"
 
-    def __eq__(self, other):
-        return isinstance(other, CycloCtx) and self.n == other.n
-
-    def __hash__(self):
-        return hash(("CycloCtx", self.n))
-
     def element(self, coords) -> "CycloElem":
-        """Element with the given rational (int or Fraction) coordinates."""
-        return CycloElem(self, coords)
+        """Element with the given rational (int or Fraction) coordinates,
+        zero-padded to the degree and stored in lowest terms."""
+        cs = [Fraction(c) for c in coords]
+        if len(cs) > self.degree:
+            raise ValueError("coordinate vector too long")
+        cs.extend(Fraction(0) for _ in range(self.degree - len(cs)))
+        den = math.lcm(*(c.denominator for c in cs))
+        return _make(self, tuple(c.numerator * (den // c.denominator) for c in cs), den)
 
     def from_rational(self, x) -> "CycloElem":
         return self.element([Fraction(x)])
@@ -201,14 +203,12 @@ class CycloCtx:
         return out
 
     def _mul_coords(self, a, b):
-        """Product of two integer coordinate vectors, reduced mod Phi_n."""
+        """Product of two integer coordinate vectors, reduced mod Phi_n: the
+        convolution is ``exactnum.int_poly_mul``, the integer polynomial
+        product ``UniPoly`` uses (Kronecker substitution from
+        ``_KRONECKER_MIN_LEN`` coordinates on, the schoolbook loop below)."""
         d = self.degree
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for t, bj in enumerate(b, i):
-                    if bj:
-                        conv[t] += ai * bj
+        conv = int_poly_mul(a, b)
         # x^n = 1 mod Phi_n: fold the top first (for prime n this leaves a
         # single power x^d to reduce), then clear x^t, t >= d, top-down.
         n = self.n
@@ -235,15 +235,6 @@ class CycloElem:
     ``num`` over one positive denominator ``den``, in lowest terms."""
 
     __slots__ = ("ctx", "num", "den")
-
-    def __init__(self, ctx: CycloCtx, coords):
-        cs = [Fraction(c) for c in coords]
-        if len(cs) > ctx.degree:
-            raise ValueError("coordinate vector too long")
-        cs.extend(Fraction(0) for _ in range(ctx.degree - len(cs)))
-        den = math.lcm(*(c.denominator for c in cs))
-        num = tuple(c.numerator * (den // c.denominator) for c in cs)
-        _init(self, ctx, num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloElem is immutable")
@@ -341,10 +332,6 @@ class CycloElem:
             )
         return NotImplemented
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def is_zero(self) -> bool:
@@ -376,17 +363,13 @@ class CycloElem:
         return f"CycloElem(n={self.ctx.n}, {list(self.coords)!r})"
 
 
-def _init(elem, ctx, num, den):
-    object.__setattr__(elem, "ctx", ctx)
-    object.__setattr__(elem, "num", num)
-    object.__setattr__(elem, "den", den)
-
-
 def _make(ctx, num: tuple, den: int) -> CycloElem:
     """Element from a coordinate tuple and denominator already in lowest
     terms with den > 0."""
     elem = object.__new__(CycloElem)
-    _init(elem, ctx, num, den)
+    object.__setattr__(elem, "ctx", ctx)
+    object.__setattr__(elem, "num", num)
+    object.__setattr__(elem, "den", den)
     return elem
 
 

@@ -1,17 +1,17 @@
-"""Exact arithmetic kernel: rationals, dense polynomials, truncated power
-series, determinant routines, the two Newton loops (``newton_exp``,
-``newton_log``) and the two tuple-sum enumerators (``tuple_product_sum``,
+"""Exact arithmetic kernel: dense polynomials, truncated power series,
+determinant routines, the two Newton loops (``newton_exp``, ``newton_log``)
+and the two tuple-sum enumerators (``tuple_product_sum``,
 ``subset_product_sums``) over generic commutative coefficient rings.
 
-``UniPoly`` products of integer polynomials (every coefficient exactly
-``int``) whose shorter operand has at least ``_KRONECKER_MIN_LEN``
-coefficients run as one big-int product by Kronecker substitution; every
-other coefficient ring, and shorter operands, use the schoolbook loop.  The
-substitution itself is three shared helpers: ``kronecker_width`` gives the
-bytes per coefficient for a bound on the coefficients, ``kronecker_pack``
-evaluates an integer polynomial at q = 2^(8w), and ``kronecker_unpack``
-reads the coefficients back.  ``qstirling.orthogonality_check`` packs each
-symbolic triangle entry once with them and sums plain ints.
+``int_poly_mul`` is the one integer polynomial product, behind ``UniPoly``
+products of integer polynomials (every coefficient exactly ``int``) and the
+field products of ``cyclo``: Kronecker substitution once the shorter operand
+has ``_KRONECKER_MIN_LEN`` coefficients, the schoolbook loop below.  The
+substitution is three shared helpers: ``kronecker_width`` gives the bytes
+per coefficient for a coefficient bound, ``kronecker_pack`` evaluates an
+integer polynomial at q = 2^(8w), and ``kronecker_unpack`` reads the
+coefficients back; ``qstirling.orthogonality_check`` packs each symbolic
+triangle entry once with them and sums plain ints.
 
 Scalars are plain ints and ``fractions.Fraction``.  A "ring element" below is
 any immutable value supporting ``+``, ``-``, ``*`` and ``== 0`` against the
@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-Rat = Fraction
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -53,34 +51,6 @@ class ShapeViolation(ValueError):
     pass
 
 
-_OPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "−": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "×": lambda a, b: a * b,
-    "/": None,
-    "÷": None,
-}
-
-
-def rat_arith(a, b, op: str) -> Fraction:
-    """Exact rational arithmetic; ``op`` is one of ``+ - * /``.
-
-    Results are canonical by construction (Fraction keeps gcd-reduced form
-    with a positive denominator).
-    """
-    a, b = Fraction(a), Fraction(b)
-    if op not in _OPS:
-        raise ValueError(f"unknown operator {op!r}")
-    fn = _OPS[op]
-    if fn is not None:
-        return fn(a, b)
-    if b == 0:
-        raise DivisionByZero("division by zero")
-    return a / b
-
-
 def _is_zero(c) -> bool:
     return c == 0
 
@@ -103,14 +73,13 @@ def power(base, k: int, one):
     return result
 
 
-# Shortest operand at which UniPoly.__mul__ multiplies integer polynomials by
-# Kronecker substitution.  Measured on a 2-core Xeon VM (Python 3.11.7), the
-# big-int path overtakes the schoolbook loop at about 10-12 coefficients on
-# both sides (schoolbook against big-int at 40-bit coefficients: 8 x 8 takes
-# 19 against 21 us, 12 x 12 39 against 29 us), and at 4-6 when the other
-# operand is long (6 x 300).  The symbolic-q Stirling orthogonality checks,
-# r, s <= 3 and n <= 14, take the same time within noise for cut-overs 6-12.
-_KRONECKER_MIN_LEN = 12
+# Shortest operand at which ``int_poly_mul`` leaves the schoolbook loop for
+# Kronecker substitution.  On a 2-core Xeon VM (Python 3.11.7) the big-int
+# path wins dense d x d products from d = 12-14 at 8-40 bits and d = 16-20 at
+# 200 bits (16 x 16 at 40 bits: 30 against 46 us).  A cut-over of 12 read the
+# ``oracle_sweep`` tail item time, whose field products have phi(n) <= 12
+# coordinates, about 5 % slower than 16; the other workloads did not move.
+_KRONECKER_MIN_LEN = 16
 
 
 def kronecker_width(bound: int) -> int:
@@ -145,6 +114,26 @@ def kronecker_unpack(value: int, w: int, n: int) -> list:
     fb = int.from_bytes
     raw = (value + fb((bytes(w - 1) + b"\x80") * n, "little")).to_bytes(w * n, "little")
     return [fb(raw[k : k + w], "little") - half for k in range(0, w * n, w)]
+
+
+def int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list:
+    """Coefficients of the product of two nonempty integer polynomials
+    (lowest degree first): one big-int product by Kronecker substitution
+    when both have at least ``_KRONECKER_MIN_LEN`` coefficients, else the
+    schoolbook loop, which skips zero coefficients."""
+    la, lb = len(a), len(b)
+    if la < _KRONECKER_MIN_LEN or lb < _KRONECKER_MIN_LEN:
+        out = [0] * (la + lb - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for t, bj in enumerate(b, i):
+                    if bj:
+                        out[t] += ai * bj
+        return out
+    # |c_k| <= min(la, lb)·max|a|·max|b|; a zero maximum counts as 1, so that
+    # the bound covers every operand coefficient too.
+    w = kronecker_width(min(la, lb) * (max(map(abs, a)) or 1) * (max(map(abs, b)) or 1))
+    return kronecker_unpack(kronecker_pack(a, w) * kronecker_pack(b, w), w, la + lb - 1)
 
 
 class UniPoly:
@@ -207,17 +196,9 @@ class UniPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        """Product with a scalar or with another UniPoly.
-
-        When every coefficient of both operands is exactly ``int`` and the
-        shorter one has at least ``_KRONECKER_MIN_LEN`` coefficients, the
-        product is one big-int product (Kronecker substitution): each operand
-        is packed into one int with w bytes per coefficient
-        (``kronecker_pack``), and the product is read back slot by slot
-        (``kronecker_unpack``).  Every other coefficient ring (Fraction,
-        mixed int/Fraction, nested UniPoly, CycloElem) and shorter operands
-        use the schoolbook double loop.
-        """
+        """Product with a scalar or with another UniPoly: integer polynomials
+        (every coefficient exactly ``int``) through ``int_poly_mul``, every
+        other coefficient ring by the schoolbook double loop."""
         if not isinstance(other, UniPoly):
             if _is_zero(other):
                 return UniPoly()
@@ -225,17 +206,8 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UniPoly()
-        if (
-            min(len(a), len(b)) >= _KRONECKER_MIN_LEN
-            and all(type(c) is int for c in a)
-            and all(type(c) is int for c in b)
-        ):
-            # Each product coefficient sums at most min(len a, len b) terms,
-            # so |c_k| <= bound; as max|a|, max|b| >= 1 the bound covers the
-            # operands' coefficients too.
-            w = kronecker_width(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
-            product = kronecker_pack(a, w) * kronecker_pack(b, w)
-            return UniPoly(kronecker_unpack(product, w, len(a) + len(b) - 1))
+        if all(type(c) is int for c in a) and all(type(c) is int for c in b):
+            return UniPoly(int_poly_mul(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if _is_zero(ai):
@@ -253,10 +225,7 @@ class UniPoly:
 
     def __truediv__(self, other):
         if isinstance(other, UniPoly):
-            q, r = poly_divmod(self, other)
-            if not r.is_zero():
-                raise InexactDivision("polynomial division left a remainder")
-            return q
+            return exact_div(self, other)
         if isinstance(other, int):
             if other == 0:
                 raise DivisionByZero("division by zero")
@@ -286,9 +255,6 @@ class UniPoly:
         if len(self.coeffs) == 1:
             return self.coeffs[0] == other
         return False
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     __hash__ = None
 
@@ -462,9 +428,6 @@ class TruncSeries:
             and self.order == other.order
             and all(a == b for a, b in zip(self.coeffs, other.coeffs))
         )
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     __hash__ = None
 

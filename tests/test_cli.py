@@ -326,6 +326,26 @@ def test_verify_out_file(tmp_path, capsys):
     assert payload["failures"] == []
 
 
+def test_unopenable_out_path_exits_one_with_one_error_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "value.txt"
+    code, out, err = run_cli(capsys, "value", "--n", "5", "--m", "2", "--s", "1", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_approx_beyond_float_range_exits_one_with_one_error_line(capsys):
+    # Z(1100; 550, 1) = C(1099, 550) and the s = 1 row are exact but
+    # overflow a float, so --approx is refused before anything is printed
+    for argv in (["value", "--n", "1100", "--m", "550", "--s", "1", "--method", "closed"],
+                 ["table", "zeta", "--n", "1100", "--s", "1"]):
+        code, out, err = run_cli(capsys, *argv, "--approx")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+
+
 # ------------------------------------------------------------ determinism
 
 

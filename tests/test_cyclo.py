@@ -12,7 +12,7 @@ from qmzv.cyclo import (
     cyclotomic_poly,
     product_one_minus_powers,
 )
-from qmzv.exactnum import UniPoly
+from qmzv.exactnum import UniPoly, poly_divmod
 
 F = Fraction
 
@@ -312,3 +312,79 @@ def test_poly_power_refuses_non_monic_or_non_integral_input():
         ctx.poly_power([ctx.element([2]), ctx.one()], 3, 3)
     with pytest.raises(ValueError):
         ctx.poly_power([ctx.one(), ctx.element([F(1, 2)])], 3, 3)
+
+
+def _reference_product(ctx, x, y):
+    """x * y from the UniPoly product of the coordinates reduced by
+    poly_divmod modulo Phi_n.  The integer coordinates go in as Fractions,
+    which keeps the product on the generic schoolbook loop, independent of
+    the integer convolution."""
+    px = UniPoly(Fraction(c) for c in x.num)
+    py = UniPoly(Fraction(c) for c in y.num)
+    _, r = poly_divmod(px * py, cyclotomic_poly(ctx.n))
+    den = x.den * y.den
+    return [c / den for c in r.coeffs] + [0] * (ctx.degree - len(r.coeffs))
+
+
+@pytest.mark.parametrize("n", [13, 17, 23, 41, 48, 60, 101])
+def test_products_equal_the_reduced_polynomial_product(n):
+    # phi(n) = 12, 16, 22, 40, 16, 16, 100: both sides of the cut-over at
+    # which integer convolutions switch to Kronecker substitution
+    rng = random.Random(1000 + n)
+    ctx = cyclo_ctx(n)
+    d = ctx.degree
+    big = 10**40
+
+    def rand_elem():
+        return ctx.element(
+            [F(rng.randint(-big, big), rng.randint(1, 10**6)) if rng.random() < 0.8 else 0
+             for _ in range(d)]
+        )
+
+    zero, top = ctx.zero(), ctx.element([big] * d)
+    rand = [rand_elem() for _ in range(4)]
+    # equal signs reach the coefficient bound of the convolution, opposite
+    # signs its negative; the zero element has no largest coefficient
+    pairs = [(top, top), (top, -top), (ctx.element([(-1) ** i * big for i in range(d)]), top),
+             (zero, rand[0]), (rand[1], zero), (zero, zero), (top, rand[2])]
+    pairs += list(zip(rand, rand[1:] + rand[:1]))
+    for x, y in pairs:
+        got = x * y
+        assert list(got.coords) == _reference_product(ctx, x, y), (n, x, y)
+        assert got == y * x
+
+
+def test_equality_against_scalars_and_other_types():
+    ctx = cyclo_ctx(7)
+    three_halves = ctx.element([F(3, 2)])
+    z = ctx.zeta()
+    assert three_halves == F(3, 2) and not three_halves != F(3, 2)
+    assert three_halves != F(3, 4) and not three_halves == F(3, 4)
+    assert ctx.element([4]) == 4 and not ctx.element([4]) != 4
+    assert ctx.element([4]) != 5 and z != 0 and not z == 0
+    assert 4 == ctx.element([4]) and F(3, 2) == three_halves and 5 != ctx.element([4])
+    assert ctx.zero() == 0 and not ctx.zero() != 0
+    # fields never mix, not even in a comparison
+    other = cyclo_ctx(5).zeta()
+    with pytest.raises(ContextMismatch):
+        z == other
+    with pytest.raises(ContextMismatch):
+        z != other
+    # a foreign type is unequal, both ways round
+    for foreign in ("zeta", 1.5, None, (1, 0)):
+        assert z != foreign and not z == foreign
+        assert foreign != z and not foreign == z
+
+
+def test_element_builds_lowest_terms_from_fraction_coordinates():
+    ctx = cyclo_ctx(5)
+    e = ctx.element([F(2, 4), F(-6, 9)])
+    assert e.num == (3, -4, 0, 0) and e.den == 6
+    assert e.coords == (F(1, 2), F(-2, 3), 0, 0)
+    # zero padding up to phi(n) coordinates, integral values as ints
+    assert ctx.element([F(8, 4)]).coords == (2, 0, 0, 0)
+    assert ctx.element([]).num == (0, 0, 0, 0) and ctx.element([]).den == 1
+    assert ctx.element([F(0, 7), F(5, 10), 0, F(-3, 12)]).den == 4
+    assert ctx.element([0, 0, 0, F(1, 3)]) == ctx.zeta_power(3) / 3
+    with pytest.raises(ValueError):
+        ctx.element([F(1, 2)] * 5)

@@ -11,6 +11,7 @@ from qmzv.exactnum import (
     BadConstantTerm,
     DivisionByZero,
     DuplicateAbscissa,
+    InexactDivision,
     NonInvertibleConstantTerm,
     ShapeViolation,
     TruncSeries,
@@ -26,7 +27,6 @@ from qmzv.exactnum import (
     poly_divmod,
     poly_interpolate,
     power,
-    rat_arith,
     series_exp,
     series_inv,
     series_log,
@@ -44,38 +44,6 @@ def rand_frac(rng, lo=-9, hi=9):
 
 def rand_poly(rng, max_deg=5):
     return UniPoly([rand_frac(rng) for _ in range(rng.randint(0, max_deg + 1))])
-
-
-# ---------------------------------------------------------------- rationals
-
-
-def test_rat_arith_basics():
-    assert rat_arith(F(1, 2), F(1, 3), "+") == F(5, 6)
-    assert rat_arith(F(-5, 12), 0, "*") == 0
-    assert rat_arith(F(251, 720), F(251, 720), "/") == 1
-
-
-def test_rat_arith_division_by_zero():
-    with pytest.raises(DivisionByZero):
-        rat_arith(F(1), F(0), "/")
-
-
-def test_rat_arith_canonical_form():
-    rng = random.Random(7)
-    for _ in range(200):
-        a, b = rand_frac(rng), rand_frac(rng)
-        for op in "+-*":
-            c = rat_arith(a, b, op)
-            assert c.denominator > 0
-            import math
-
-            assert math.gcd(abs(c.numerator), c.denominator) == 1
-
-
-def test_rat_arith_unicode_operators():
-    assert rat_arith(F(1), F(2), "−") == -1
-    assert rat_arith(F(3), F(2), "×") == 6
-    assert rat_arith(F(3), F(2), "÷") == F(3, 2)
 
 
 # -------------------------------------------------------------- polynomials
@@ -215,6 +183,35 @@ def test_poly_divmod_roundtrip():
         q, r = poly_divmod(a, b)
         assert q * b + r == a
         assert r.is_zero() or r.degree() < b.degree()
+
+
+def test_unipoly_true_division_is_exact_or_raises():
+    a = UniPoly([-1, 0, 0, 1])  # x^3 - 1
+    b = UniPoly([-1, 1])
+    assert a / b == UniPoly([1, 1, 1])
+    assert UniPoly([F(1, 2), F(1, 2)]) / UniPoly([F(1, 3), F(1, 3)]) == F(3, 2)
+    assert UniPoly() / b == 0
+    with pytest.raises(InexactDivision):
+        a / UniPoly([1, 1])
+    with pytest.raises(InexactDivision):
+        UniPoly([1]) / b
+    with pytest.raises(DivisionByZero):
+        a / UniPoly()
+    # scalar divisors divide every coefficient
+    assert a / 2 == UniPoly([F(-1, 2), 0, 0, F(1, 2)])
+
+
+def test_unipoly_equality_against_polynomials_and_scalars():
+    p = UniPoly([1, F(2, 3)])
+    assert p == UniPoly([F(1), F(2, 3), 0]) and not p != UniPoly([1, F(2, 3)])
+    assert p != UniPoly([1, F(2, 5)]) and not p == UniPoly([1, F(2, 5)])
+    assert p != 1 and not p == 1 and 1 != p
+    assert UniPoly([7]) == 7 and not UniPoly([7]) != 7 and 7 == UniPoly([7])
+    assert UniPoly([F(1, 2)]) == F(1, 2) and UniPoly([F(1, 2)]) != F(1, 3)
+    # the zero polynomial equals the scalar zero, and only it
+    assert UniPoly() == 0 and not UniPoly() != 0 and 0 == UniPoly()
+    assert UniPoly([0, 0]) == UniPoly() and UniPoly() == F(0)
+    assert UniPoly() != 1 and UniPoly([0, 1]) != 0
 
 
 # ------------------------------------------------------------- determinants
@@ -398,6 +395,17 @@ def test_series_truncation_locality():
     b = TruncSeries(5, [1, 1, 1, 1, 1])
     c = TruncSeries(3, [1, 2, 3]) * TruncSeries(3, [1, 1, 1])
     assert (a * b).coeffs[:3] == c.coeffs
+
+
+def test_series_equality_needs_equal_order_and_coefficients():
+    a = TruncSeries(3, [1, 2])
+    assert a == TruncSeries(3, [F(1), F(2), 0]) and not a != TruncSeries(3, [1, 2, 0])
+    assert a != TruncSeries(3, [1, 3]) and not a == TruncSeries(3, [1, 3])
+    # equal coefficients at different orders are different series
+    assert a != TruncSeries(4, [1, 2]) and not a == TruncSeries(4, [1, 2])
+    # nothing but a series equals a series
+    for other in (1, UniPoly([1, 2]), [1, 2, 0]):
+        assert a != other and not a == other
 
 
 # ------------------------------------------------------------ Newton loops
