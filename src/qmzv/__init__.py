@@ -10,15 +10,12 @@ numbers.
 """
 
 from .exactnum import (
-    TruncSeries,
     UniPoly,
     det_cofactor,
     det_fraction_free,
     det_hessenberg,
     poly_interpolate,
-    series_exp,
     series_inv,
-    series_log,
 )
 from .cyclo import (
     CycloCtx,

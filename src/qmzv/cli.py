@@ -152,10 +152,10 @@ def cmd_table(args) -> int:
         payload = {"kind": "rstirling", "r": args.r, "values": values}
     else:  # bernoulli
         if args.kind == "order":
-            vals = [seqlib.bernoulli_order(n, args.alpha) for n in range(n_max + 1)]
+            vals = seqlib._bernoulli_orders(n_max, args.alpha)
             label = f"order-{args.alpha}"
         else:
-            vals = [seqlib.norlund(n) for n in range(n_max + 1)]
+            vals = seqlib._norlund_numbers(n_max)
             label = "norlund"
         header, rows = _value_rows("n", vals, args.approx)
         payload = {"kind": "bernoulli", "family": label, "values": [str(v) for v in vals]}
@@ -196,9 +196,13 @@ def cmd_verify(args) -> int:
         value = getattr(args, name)
         if value is not None and value < 1:
             raise BadParams(f"--{name.replace('_', '-')} must be >= 1")
+    budget = _budget(args)
+    if args.out:
+        # as a shell redirect does: an unwritable target is refused before any case runs
+        _emit("", args.out)
     start = time.monotonic()
     cases = verify.suite_cases(args.suite, n_max=args.n_max, m_max=args.m_max, s_max=args.s_max,
-                               trunc=args.trunc, budget=_budget(args))
+                               trunc=args.trunc, budget=budget)
     jobs = _worker_count(args.jobs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -1,7 +1,12 @@
-"""Exact arithmetic kernel: dense polynomials, truncated power series,
-determinant routines, the two Newton loops (``newton_exp``, ``newton_log``)
-and the two tuple-sum enumerators (``tuple_product_sum``,
+"""Exact arithmetic kernel: dense polynomials, determinant routines, the
+power-series loops and the two tuple-sum enumerators (``tuple_product_sum``,
 ``subset_product_sums``) over generic commutative coefficient rings.
+
+A truncated power series is a plain coefficient sequence, lowest degree
+first, whose length is its order.  Three loops are the whole series layer:
+``series_inv`` inverts a series with constant term 1, and the two Newton
+loops ``newton_exp`` and ``newton_log`` give exp and log, and through them
+powers; the log side of both loops is weighted, k [t^k] log.
 
 ``int_poly_mul`` is the one integer polynomial product, behind ``UniPoly``
 products of integer polynomials (every coefficient exactly ``int``) and the
@@ -33,10 +38,6 @@ class DivisionByZero(ZeroDivisionError):
 
 class InexactDivision(ArithmeticError):
     """Raised when an exact ring division leaves a remainder (a bug signal)."""
-
-
-class NonInvertibleConstantTerm(ValueError):
-    pass
 
 
 class BadConstantTerm(ValueError):
@@ -363,107 +364,23 @@ def poly_interpolate(points: Sequence) -> UniPoly:
     return total
 
 
-class TruncSeries:
-    """Formal power series truncated at a fixed order N.
-
-    ``coeffs[k]`` is the coefficient of t^k for k < N.  Integer inputs are
-    promoted to Fraction so later divisions by integers stay exact.  Binary
-    operations truncate to the smaller participating order; precision is never
-    silently extended.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: Iterable = ()):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        cs = [Fraction(c) if isinstance(c, int) else c for c in list(coeffs)[:order]]
-        cs.extend(Fraction(0) for _ in range(order - len(cs)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
-
-    def __add__(self, other):
-        if not isinstance(other, TruncSeries):
-            cs = list(self.coeffs)
-            cs[0] = cs[0] + other
-            return TruncSeries(self.order, cs)
-        n = min(self.order, other.order)
-        return TruncSeries(n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries(self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncSeries):
-            return TruncSeries(self.order, [c * other for c in self.coeffs])
-        n = min(self.order, other.order)
-        out = [0] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if _is_zero(a):
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if not _is_zero(b):
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(n, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative series power; use series_inv first")
-        return power(self, k, TruncSeries(self.order, [1]))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncSeries)
-            and self.order == other.order
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"TruncSeries({self.order}, {list(self.coeffs)!r})"
-
-
-def _ring_inv(c):
-    if isinstance(c, int):
-        c = Fraction(c)
-    if isinstance(c, Fraction):
-        if c == 0:
-            raise NonInvertibleConstantTerm("constant term is zero")
-        return Fraction(1) / c
-    if isinstance(c, UniPoly):
-        if c.degree() == 0:
-            return UniPoly((_ring_inv(c.coeffs[0]),))
-        raise NonInvertibleConstantTerm("constant term is not a unit")
-    inv = getattr(c, "inverse", None)
-    if inv is None:
-        raise NonInvertibleConstantTerm(f"cannot invert {c!r}")
-    return inv()
-
-
-def series_inv(f: TruncSeries) -> TruncSeries:
-    """Multiplicative inverse: f * series_inv(f) = 1 + O(t^N)."""
-    c0inv = _ring_inv(f.coeffs[0])
-    out = [c0inv]
-    for k in range(1, f.order):
+def series_inv(f: Sequence) -> list:
+    """Multiplicative inverse of the power series f (lowest degree first,
+    its length the order) with constant term exactly 1: the list g of the
+    same length with f * g = 1 + O(t^N), from g_k = -sum_{0 < i <= k} f_i
+    g_(k-i).  Zero f_i are dropped once."""
+    if not (f and f[0] == 1):
+        raise BadConstantTerm("series_inv needs constant term 1")
+    terms = [(i, c) for i, c in enumerate(f[1:], 1) if not _is_zero(c)]
+    out = [f[0]]
+    for k in range(1, len(f)):
         acc = 0
-        for i in range(1, k + 1):
-            fi = f.coeffs[i]
-            if not _is_zero(fi):
-                acc = acc + fi * out[k - i]
-        out.append(-(c0inv * acc))
-    return TruncSeries(f.order, out)
+        for i, c in terms:
+            if i > k:
+                break
+            acc = acc + c * out[k - i]
+        out.append(-acc)
+    return out
 
 
 def newton_exp(g: Sequence) -> list:
@@ -498,22 +415,6 @@ def newton_log(f: Sequence) -> list:
             acc = acc - c * q[k - j]
         q.append(acc)
     return q
-
-
-def series_log(f: TruncSeries) -> TruncSeries:
-    """log of a series with constant term exactly 1, from :func:`newton_log`."""
-    if not f.coeffs[0] == 1:
-        raise BadConstantTerm("series_log needs constant term 1")
-    q = newton_log(f.coeffs[1:])
-    return TruncSeries(f.order, [f.coeffs[0] * 0] + [q[k] / k for k in range(1, len(q))])
-
-
-def series_exp(f: TruncSeries) -> TruncSeries:
-    """exp of a series with constant term exactly 0, from :func:`newton_exp`
-    on g_j = j [t^j] f."""
-    if not _is_zero(f.coeffs[0]):
-        raise BadConstantTerm("series_exp needs constant term 0")
-    return TruncSeries(f.order, newton_exp([j * c for j, c in enumerate(f.coeffs[1:], 1)]))
 
 
 def tuple_product_sum(rows: Sequence[Sequence], strict: bool = True):

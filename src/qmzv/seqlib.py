@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
-from .exactnum import TruncSeries, UniPoly, det_hessenberg, newton_exp, newton_log, series_inv
+from .exactnum import UniPoly, det_hessenberg, newton_exp, newton_log, series_inv
 from .util import fractionize
 
 
@@ -188,11 +188,11 @@ def hyperharmonic(n: int, k: int) -> Fraction:
     return row[-1]
 
 
-def degen_bernoulli_series(m: int, order: int) -> TruncSeries:
-    """t / ((1 + t/m)^m - 1) to the given order, inverted from the exact
-    binomial expansion: coefficient j is beta_j(1/m) / j! for every j < order."""
-    g = TruncSeries(order, [Fraction(math.comb(m, j + 1), m ** (j + 1)) for j in range(order)])
-    return series_inv(g)
+def degen_bernoulli_series(m: int, order: int) -> list:
+    """The coefficients of t / ((1 + t/m)^m - 1) to the given order, inverted
+    from the exact binomial expansion: entry j is beta_j(1/m) / j! for every
+    j < order."""
+    return series_inv([Fraction(math.comb(m, j + 1), m ** (j + 1)) for j in range(order)])
 
 
 def degen_bernoulli(k: int, lam) -> Fraction:
@@ -202,7 +202,9 @@ def degen_bernoulli(k: int, lam) -> Fraction:
     lam = Fraction(lam)
     if lam.numerator != 1 or lam.denominator < 1:
         raise UnsupportedLambda(f"lambda must be 1/m with integer m >= 1, got {lam}")
-    return degen_bernoulli_series(lam.denominator, k + 1).coeffs[k] * math.factorial(k)
+    if k < 0:
+        raise ValueError("need k >= 0")
+    return degen_bernoulli_series(lam.denominator, k + 1)[k] * math.factorial(k)
 
 
 @lru_cache(maxsize=None)
@@ -211,37 +213,47 @@ def degen_bernoulli_poly(k: int) -> UniPoly:
 
     Expands (1 + lambda*t)^(1/lambda) = exp(log(1 + lambda*t)/lambda) by
     :func:`exactnum.newton_exp` on g_j = (-lambda)^(j-1), whose t-coefficients
-    are polynomials in lambda, then inverts ((1+lambda t)^(1/lambda) - 1)/t.
+    are polynomials in lambda, then inverts ((1+lambda t)^(1/lambda) - 1)/t
+    by :func:`exactnum.series_inv`.
     """
     if k < 0:
         raise ValueError("need k >= 0")
     e = newton_exp([UniPoly([0] * j + [Fraction((-1) ** j)]) for j in range(k + 1)])
-    beta = series_inv(TruncSeries(k + 1, e[1:]))
-    c = beta.coeffs[k] * math.factorial(k)
+    c = series_inv(e[1:])[k] * math.factorial(k)
     return c if isinstance(c, UniPoly) else UniPoly((Fraction(c),))
+
+
+def _bernoulli_orders(n_max: int, alpha: int) -> list:
+    """B_0^(alpha), ..., B_{n_max}^(alpha): n! [t^n] of (t/(e^t - 1))^alpha
+    = exp(-alpha log h) with h = (e^t - 1)/t, from one
+    :func:`exactnum.newton_log` pass and one :func:`exactnum.newton_exp`
+    pass to order n_max + 1."""
+    if n_max < 0 or alpha < 0:
+        raise ValueError("need n, alpha >= 0")
+    q = newton_log([Fraction(1, math.factorial(j + 1)) for j in range(1, n_max + 1)])
+    e = newton_exp([-alpha * c for c in q[1:]])
+    return [Fraction(1)] + [c * math.factorial(n) for n, c in enumerate(e[1:], 1)]
 
 
 @lru_cache(maxsize=None)
 def bernoulli_order(n: int, alpha: int) -> Fraction:
     """Higher-order Bernoulli number: n! times the t^n coefficient of
-    (t/(e^t - 1))^alpha."""
-    if n < 0 or alpha < 0:
-        raise ValueError("need n, alpha >= 0")
-    h = TruncSeries(n + 1, [Fraction(1, math.factorial(j + 1)) for j in range(n + 1)])
-    p = series_inv(h) ** alpha
-    return p.coeffs[n] * math.factorial(n)
+    (t/(e^t - 1))^alpha, read from :func:`_bernoulli_orders`."""
+    return _bernoulli_orders(n, alpha)[n]
+
+
+def _norlund_numbers(n_max: int) -> list:
+    """N_0, ..., N_{n_max}: n! [t^n] of t/((1+t) log(1+t)), from one
+    :func:`exactnum.series_inv` of (1+t) log(1+t) / t = 1 + sum_{j >= 1}
+    (-1)^(j-1) t^j / (j (j+1)) to order n_max + 1."""
+    if n_max < 0:
+        raise ValueError("need n >= 0")
+    g = [Fraction(1)] + [Fraction((-1) ** (j - 1), j * (j + 1)) for j in range(1, n_max + 1)]
+    return [c * math.factorial(n) for n, c in enumerate(series_inv(g))]
 
 
 @lru_cache(maxsize=None)
 def norlund(n: int) -> Fraction:
-    """Norlund number: n! times the t^n coefficient of t/((1+t) log(1+t))."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    g = []
-    for j in range(n + 1):
-        c = Fraction((-1) ** j, j + 1)
-        if j >= 1:
-            c += Fraction((-1) ** (j - 1), j)
-        g.append(c)
-    inv = series_inv(TruncSeries(n + 1, g))
-    return inv.coeffs[n] * math.factorial(n)
+    """Norlund number: n! times the t^n coefficient of t/((1+t) log(1+t)),
+    read from :func:`_norlund_numbers`."""
+    return _norlund_numbers(n)[n]

@@ -41,12 +41,10 @@ from itertools import islice
 
 from .cyclo import as_rational, cyclo_ctx
 from .exactnum import (
-    TruncSeries,
     UniPoly,
     newton_exp,
     newton_log,
     poly_interpolate,
-    series_log,
     subset_product_sums,
     tuple_product_sum,
 )
@@ -446,7 +444,7 @@ def zeta_1s_degenerate_bernoulli(n: int, s: int) -> Fraction:
     degenerate Bernoulli numbers beta_j, every beta_j / j! read from one
     :func:`seqlib.degen_bernoulli_series` to order s + 1."""
     _validate(n, 1, s)
-    beta = degen_bernoulli_series(n, s + 1).coeffs
+    beta = degen_bernoulli_series(n, s + 1)
     return -sum(math.comb(s - 1, j - 1) * beta[j] * n ** j for j in range(1, s + 1))
 
 
@@ -458,7 +456,7 @@ def harmonic_bernoulli_identity_check(n: int, j: int) -> CheckResult:
     ctx = cyclo_ctx(n)
     lhs = harmonic_q_series(n, (j,))
     scale = (ctx.one() - ctx.zeta()) * n
-    rhs = -degen_bernoulli_series(n, j + 1).coeffs[j] * scale ** j
+    rhs = -degen_bernoulli_series(n, j + 1)[j] * scale ** j
     result.record(lhs == rhs, n=n, j=j)
     return result
 
@@ -515,17 +513,19 @@ def logf_identity_check(s: int, trunc: int = 12) -> CheckResult:
         raise BadParams("left side is evaluated for s in {1, 2, 3} only")
     if not 1 <= trunc <= 20:
         raise BadParams("need 1 <= trunc <= 20")
-    logs = [
-        series_log(TruncSeries(trunc + 1, f_poly(s, l).coeffs)) * Fraction((-1) ** (s - 1 + l))
-        for l in range(s + 1)
-    ]
-    rhs = sum(logs[1:], logs[0])
+    # k [Y^k] of the signed sum of log F(s, l), each F cut or zero-padded to
+    # Y^trunc; every F(s, l) has constant term 1, so the logs start at Y^1
+    weighted = [0] * (trunc + 1)
+    for l in range(s + 1):
+        coeffs = list(f_poly(s, l).coeffs[1 : trunc + 1])
+        q = newton_log(coeffs + [UniPoly()] * (trunc - len(coeffs)))
+        sign = (-1) ** (s - 1 + l)
+        weighted = [w + sign * c for w, c in zip(weighted, q)]
+    rhs = [UniPoly()] + [weighted[k] / k for k in range(1, trunc + 1)]
 
     result = CheckResult(["logf", "product"])
     shifted = []
-    for n_idx, u in enumerate(rhs.coeffs):
-        if not isinstance(u, UniPoly):
-            u = UniPoly((u,))
+    for n_idx, u in enumerate(rhs):
         result.record(
             u.coeff(0) == 0,
             kind="x0-vanishes",

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmzv import cli, verify
+from qmzv import cli, seqlib, verify
 from qmzv.util import CheckResult
 
 F = Fraction
@@ -204,6 +204,28 @@ def test_table_bernoulli_order(capsys):
     assert values == ["1", "-1", "5/6"]
 
 
+def test_table_bernoulli_builds_each_family_from_one_series(capsys, monkeypatch):
+    calls = {"series_inv": 0, "newton_log": 0}
+
+    def counted(name):
+        inner = getattr(seqlib, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(seqlib, name, counted(name))
+    seqlib.norlund.cache_clear()
+    seqlib.bernoulli_order.cache_clear()
+    code, out, _ = run_cli(capsys, "table", "bernoulli", "--kind", "norlund", "--n-max", "30")
+    assert code == 0 and len(out.splitlines()) == 32 and calls["series_inv"] == 1
+    code, out, _ = run_cli(capsys, "table", "bernoulli", "--kind", "order", "--alpha", "3", "--n-max", "30")
+    assert code == 0 and len(out.splitlines()) == 32 and calls["newton_log"] == 1
+
+
 def test_table_bad_kind_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["table", "nosuch", "--n-max", "3"])
@@ -334,11 +356,24 @@ def test_unopenable_out_path_exits_one_with_one_error_line(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_verify_refuses_an_unopenable_out_path_before_running_a_case(tmp_path, capsys, monkeypatch):
+    def refuse(case):
+        pytest.fail(f"case {case[0]} ran before --out was refused")
+
+    monkeypatch.setattr(verify, "run_case", refuse)
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, "verify", "all", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write --out ") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_approx_beyond_float_range_exits_one_with_one_error_line(capsys):
     # Z(1100; 550, 1) = C(1099, 550) and the s = 1 row are exact but
     # overflow a float, so --approx is refused before anything is printed
     for argv in (["value", "--n", "1100", "--m", "550", "--s", "1", "--method", "closed"],
-                 ["table", "zeta", "--n", "1100", "--s", "1"]):
+                 ["table", "zeta", "--n", "1100", "--s", "1"],
+                 ["table", "bernoulli", "--kind", "norlund", "--n-max", "200"]):
         code, out, err = run_cli(capsys, *argv, "--approx")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -12,9 +12,7 @@ from qmzv.exactnum import (
     DivisionByZero,
     DuplicateAbscissa,
     InexactDivision,
-    NonInvertibleConstantTerm,
     ShapeViolation,
-    TruncSeries,
     UniPoly,
     det_cofactor,
     det_fraction_free,
@@ -27,9 +25,7 @@ from qmzv.exactnum import (
     poly_divmod,
     poly_interpolate,
     power,
-    series_exp,
     series_inv,
-    series_log,
     subset_product_sums,
     tuple_product_sum,
 )
@@ -301,11 +297,23 @@ def _bernoulli_classic(k):
     return bs
 
 
+def _trunc_mul(a, b):
+    # the product of two series of equal order, cut at that order
+    return [sum((a[i] * b[k - i] for i in range(1, k + 1)), a[0] * b[k]) for k in range(len(a))]
+
+
+def _log(f):
+    # [t^k] log f for k < len(f), from the weighted coefficients newton_log gives
+    q = newton_log(f[1:])
+    return [q[0]] + [q[k] / k for k in range(1, len(q))]
+
+
 def test_series_inv_geometric():
-    f = TruncSeries(6, [1, -1])
-    assert series_inv(f).coeffs == tuple(F(1) for _ in range(6))
-    one = TruncSeries(4, [1])
-    assert series_inv(one) == one
+    got = series_inv([1, -1, 0, 0, 0, 0])
+    assert got == [1] * 6
+    assert series_inv([F(1), F(-1)]) == [1, 1]
+    assert series_inv([1, 0, 0, 0]) == [1, 0, 0, 0]
+    assert series_inv([F(1)]) == [1]
 
 
 def test_series_inv_bernoulli_numbers():
@@ -313,49 +321,59 @@ def test_series_inv_bernoulli_numbers():
 
     n = 9
     # (e^t - 1)/t
-    f = TruncSeries(n, [F(1, math.factorial(j + 1)) for j in range(n)])
+    f = [F(1, math.factorial(j + 1)) for j in range(n)]
     g = series_inv(f)
+    assert len(g) == n
     bs = _bernoulli_classic(n - 1)
     for k in range(n):
-        assert g.coeffs[k] == bs[k] / math.factorial(k)
+        assert g[k] == bs[k] / math.factorial(k)
+    assert _trunc_mul(f, g) == [1] + [0] * (n - 1)
 
 
 def test_series_inv_requires_unit():
-    with pytest.raises(NonInvertibleConstantTerm):
-        series_inv(TruncSeries(4, [0, 1]))
+    # the constant term must be exactly 1, not merely invertible
+    for f in ([0, 1], [2, 1], [F(2)], [UniPoly((2,)), 1], []):
+        with pytest.raises(BadConstantTerm):
+            series_inv(f)
 
 
 def test_series_log_exp_textbook():
+    # log(1 - t) = -sum t^k / k, so k [t^k] log(1 - t) = -1; exp(0) = 1
     n = 8
-    lg = series_log(TruncSeries(n, [1, -1]))
-    assert lg.coeffs == tuple([F(0)] + [F(-1, k) for k in range(1, n)])
-    assert series_exp(TruncSeries(5, [])) == TruncSeries(5, [1])
+    assert newton_log([F(-1)] + [F(0)] * (n - 2)) == [0] + [-1] * (n - 1)
+    assert _log([F(1), F(-1)] + [F(0)] * (n - 2)) == [0] + [F(-1, k) for k in range(1, n)]
+    assert newton_exp([0] * 4) == [1, 0, 0, 0, 0]
 
 
 def test_series_log_exp_mutually_inverse():
     rng = random.Random(31)
     for _ in range(25):
         n = rng.randint(2, 8)
-        f = TruncSeries(n, [F(1)] + [rand_frac(rng) for _ in range(n - 1)])
-        assert series_exp(series_log(f)) == f
-        g = TruncSeries(n, [F(0)] + [rand_frac(rng) for _ in range(n - 1)])
-        assert series_log(series_exp(g)) == g
+        f = [F(1)] + [rand_frac(rng) for _ in range(n - 1)]
+        assert newton_exp(newton_log(f[1:])[1:]) == f
+        g = [F(0)] + [rand_frac(rng) for _ in range(n - 1)]
+        e = newton_exp([j * c for j, c in enumerate(g[1:], 1)])
+        assert len(e) == n and _log(e) == g
 
 
 def test_series_log_of_product():
     rng = random.Random(37)
     for _ in range(15):
         n = rng.randint(2, 7)
-        f = TruncSeries(n, [F(1)] + [rand_frac(rng) for _ in range(n - 1)])
-        g = TruncSeries(n, [F(1)] + [rand_frac(rng) for _ in range(n - 1)])
-        assert series_log(f * g) == series_log(f) + series_log(g)
+        f = [F(1)] + [rand_frac(rng) for _ in range(n - 1)]
+        g = [F(1)] + [rand_frac(rng) for _ in range(n - 1)]
+        assert _log(_trunc_mul(f, g)) == [a + b for a, b in zip(_log(f), _log(g))]
 
 
 def test_series_log_exp_constant_term_checks():
+    # the Newton loops take no constant term: log's is 0 and exp's is 1
+    # whatever the other coefficients are; only series_inv reads one
+    rng = random.Random(41)
+    for n in range(6):
+        coeffs = [rand_frac(rng) for _ in range(n)]
+        assert newton_log(coeffs)[0] == 0 and newton_exp(coeffs)[0] == 1
     with pytest.raises(BadConstantTerm):
-        series_log(TruncSeries(4, [2]))
-    with pytest.raises(BadConstantTerm):
-        series_exp(TruncSeries(4, [1]))
+        series_inv([2, 1, 1])
 
 
 def test_series_log_bivariate_against_taylor_oracle():
@@ -364,48 +382,14 @@ def test_series_log_bivariate_against_taylor_oracle():
     n = 5
     one = UniPoly((F(1),))
     x = UniPoly((F(0), F(1)))
-    f = TruncSeries(n, [one, -2 * one, one + x])
-    got = series_log(f)
-    u = TruncSeries(n, [UniPoly(), 2 * one, -(one + x)])
-    expect = TruncSeries(n, [])
-    upow = TruncSeries(n, [one])
+    got = _log([one, -2 * one, one + x, UniPoly(), UniPoly()])
+    u = [UniPoly(), 2 * one, -(one + x), UniPoly(), UniPoly()]
+    expect = [UniPoly()] * n
+    upow = [one] + [UniPoly()] * (n - 1)
     for k in range(1, n):
-        upow = upow * u
-        expect = expect + upow * F(-1, k)
+        upow = _trunc_mul(upow, u)
+        expect = [e + p * F(-1, k) for e, p in zip(expect, upow)]
     assert got == expect
-
-
-def test_series_ring_axioms_random():
-    rng = random.Random(43)
-    for _ in range(40):
-        n = rng.randint(1, 7)
-        a, b, c = (
-            TruncSeries(n, [rand_frac(rng) for _ in range(n)]) for _ in range(3)
-        )
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + (-a) == TruncSeries(n, [])
-        assert a * b == b * a
-
-
-def test_series_truncation_locality():
-    # coefficient k of a product must ignore inputs beyond index k
-    a = TruncSeries(5, [1, 2, 3, 4, 5])
-    b = TruncSeries(5, [1, 1, 1, 1, 1])
-    c = TruncSeries(3, [1, 2, 3]) * TruncSeries(3, [1, 1, 1])
-    assert (a * b).coeffs[:3] == c.coeffs
-
-
-def test_series_equality_needs_equal_order_and_coefficients():
-    a = TruncSeries(3, [1, 2])
-    assert a == TruncSeries(3, [F(1), F(2), 0]) and not a != TruncSeries(3, [1, 2, 0])
-    assert a != TruncSeries(3, [1, 3]) and not a == TruncSeries(3, [1, 3])
-    # equal coefficients at different orders are different series
-    assert a != TruncSeries(4, [1, 2]) and not a == TruncSeries(4, [1, 2])
-    # nothing but a series equals a series
-    for other in (1, UniPoly([1, 2]), [1, 2, 0]):
-        assert a != other and not a == other
 
 
 # ------------------------------------------------------------ Newton loops
@@ -465,7 +449,6 @@ def test_power_is_repeated_multiplication_in_every_ring():
     ctx = cyclo_ctx(7)
     rings = [
         (UniPoly((F(1, 2), F(-1), F(3))), UniPoly((1,))),
-        (TruncSeries(6, [F(2), F(-1, 3), F(5)]), TruncSeries(6, [1])),
         (ctx.one() - 2 * ctx.zeta() + ctx.zeta_power(3) / 5, ctx.one()),
     ]
     for base, one in rings:
@@ -481,8 +464,6 @@ def test_power_is_repeated_multiplication_in_every_ring():
 def test_negative_powers_raise_for_polynomials_and_invert_in_the_field():
     with pytest.raises(ValueError):
         UniPoly((1, 1)) ** -1
-    with pytest.raises(ValueError):
-        TruncSeries(3, [1, 1]) ** -2
     ctx = cyclo_ctx(7)
     a = ctx.one() - 2 * ctx.zeta()
     assert a ** -2 == (a * a).inverse()

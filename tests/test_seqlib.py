@@ -74,14 +74,15 @@ def test_bell_insufficient_input():
 
 def test_bell_generating_function():
     # exp(sum x_m t^m / m!) coefficient check for a fixed input
-    from qmzv.exactnum import TruncSeries, series_exp
+    # through newton_exp, which takes g_m = m [t^m] of the exponent
+    from qmzv.exactnum import newton_exp
 
     xs = [F(1), F(-2), F(3), F(1, 2), F(0), F(7)]
     n = len(xs)
-    inner = TruncSeries(n + 1, [F(0)] + [xs[m - 1] / math.factorial(m) for m in range(1, n + 1)])
-    e = series_exp(inner)
+    e = newton_exp([m * xs[m - 1] / math.factorial(m) for m in range(1, n + 1)])
+    assert len(e) == n + 1
     for k in range(n + 1):
-        assert e.coeffs[k] * math.factorial(k) == bell_complete(k, xs)
+        assert e[k] * math.factorial(k) == bell_complete(k, xs)
 
 
 # ------------------------------------------------- elementary from power sums
@@ -243,6 +244,8 @@ def test_degen_bernoulli_unsupported_lambda():
         degen_bernoulli(3, F(2, 3))
     with pytest.raises(UnsupportedLambda):
         degen_bernoulli(3, 0)
+    with pytest.raises(ValueError, match="k >= 0"):
+        degen_bernoulli(-1, F(1, 2))
 
 
 # ----------------------------------------- higher-order Bernoulli / Norlund
@@ -254,6 +257,19 @@ def test_bernoulli_order_first_values():
         assert bernoulli_order(n, 1) == bs[n]
     assert bernoulli_order(1, 1) == F(-1, 2)
     assert bernoulli_order(2, 2) == F(5, 6)
+
+
+def test_bernoulli_order_is_the_power_of_the_classical_series():
+    # B_n^(alpha) = n! [t^n] (t/(e^t - 1))^alpha, the power taken here by
+    # repeated truncated products of sum_k B_k t^k / k!
+    n_max = 14
+    bs = bernoulli_classic(n_max)
+    base = [bs[k] / math.factorial(k) for k in range(n_max + 1)]
+    power = [F(1)] + [F(0)] * n_max
+    for alpha in range(7):
+        for n in range(n_max + 1):
+            assert bernoulli_order(n, alpha) == power[n] * math.factorial(n), (n, alpha)
+        power = [sum(power[i] * base[k - i] for i in range(k + 1)) for k in range(n_max + 1)]
 
 
 def test_norlund_values():
