@@ -152,10 +152,10 @@ def cmd_table(args) -> int:
         payload = {"kind": "rstirling", "r": args.r, "values": values}
     else:  # bernoulli
         if args.kind == "order":
-            vals = seqlib._bernoulli_orders(n_max, args.alpha)
+            vals = seqlib._prefix(n_max, seqlib._bernoulli_orders, args.alpha)[: n_max + 1]
             label = f"order-{args.alpha}"
         else:
-            vals = seqlib._norlund_numbers(n_max)
+            vals = seqlib._prefix(n_max, seqlib._norlund_numbers)[: n_max + 1]
             label = "norlund"
         header, rows = _value_rows("n", vals, args.approx)
         payload = {"kind": "bernoulli", "family": label, "values": [str(v) for v in vals]}

@@ -11,8 +11,8 @@ positive denominator, the layout of FLINT's ``fmpq_poly``: the value is
 gcd(den, num[0], num[1], ...) == 1, so it is canonical and equality is a
 tuple comparison.  Products and sums therefore run on Python ints only; a
 common denominator is reduced once per operation instead of once per
-coordinate.  Products convolve coordinates with ``exactnum.int_poly_mul``,
-``UniPoly``'s integer product (Kronecker substitution from phi(n) >= 16).
+coordinate.  Products convolve coordinates with ``exactnum.poly_mul``, the
+package's one polynomial product (Kronecker substitution from phi(n) >= 16).
 ``CycloCtx.element`` builds an element from rational coordinates, and
 ``coords`` gives them back (integral ones as ints, the others as Fractions).
 
@@ -37,7 +37,7 @@ from functools import lru_cache
 
 # poly_xgcd has no caller here; it stays importable because the benchmark's
 # self-test (bench/test_harness.py) patches and restores cyclo.poly_xgcd.
-from .exactnum import UniPoly, int_poly_mul, poly_divmod, poly_xgcd, power  # noqa: F401
+from .exactnum import UniPoly, poly_divmod, poly_mul, poly_xgcd, power  # noqa: F401
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -120,9 +120,6 @@ class CycloCtx:
         den = math.lcm(*(c.denominator for c in cs))
         return _make(self, tuple(c.numerator * (den // c.denominator) for c in cs), den)
 
-    def from_rational(self, x) -> "CycloElem":
-        return self.element([Fraction(x)])
-
     def zero(self) -> "CycloElem":
         return _make(self, (0,) * self.degree, 1)
 
@@ -204,11 +201,9 @@ class CycloCtx:
 
     def _mul_coords(self, a, b):
         """Product of two integer coordinate vectors, reduced mod Phi_n: the
-        convolution is ``exactnum.int_poly_mul``, the integer polynomial
-        product ``UniPoly`` uses (Kronecker substitution from
-        ``_KRONECKER_MIN_LEN`` coordinates on, the schoolbook loop below)."""
+        convolution is ``exactnum.poly_mul``, the product ``UniPoly`` uses."""
         d = self.degree
-        conv = int_poly_mul(a, b)
+        conv = poly_mul(a, b)
         # x^n = 1 mod Phi_n: fold the top first (for prime n this leaves a
         # single power x^d to reduce), then clear x^t, t >= d, top-down.
         n = self.n

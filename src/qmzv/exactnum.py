@@ -8,14 +8,14 @@ first, whose length is its order.  Three loops are the whole series layer:
 loops ``newton_exp`` and ``newton_log`` give exp and log, and through them
 powers; the log side of both loops is weighted, k [t^k] log.
 
-``int_poly_mul`` is the one integer polynomial product, behind ``UniPoly``
-products of integer polynomials (every coefficient exactly ``int``) and the
-field products of ``cyclo``: Kronecker substitution once the shorter operand
-has ``_KRONECKER_MIN_LEN`` coefficients, the schoolbook loop below.  The
-substitution is three shared helpers: ``kronecker_width`` gives the bytes
-per coefficient for a coefficient bound, ``kronecker_pack`` evaluates an
-integer polynomial at q = 2^(8w), and ``kronecker_unpack`` reads the
-coefficients back; ``qstirling.orthogonality_check`` packs each symbolic
+``poly_mul`` is the one polynomial product over every coefficient ring,
+behind every ``UniPoly`` product and the field products of ``cyclo``:
+Kronecker substitution when every coefficient is exactly ``int`` and the
+shorter operand has ``_KRONECKER_MIN_LEN`` coefficients, the schoolbook loop
+otherwise.  The substitution is three shared helpers: ``kronecker_width``
+gives the bytes per coefficient for a coefficient bound, ``kronecker_pack``
+evaluates an integer polynomial at q = 2^(8w), and ``kronecker_unpack`` reads
+the coefficients back; ``qstirling.orthogonality_check`` packs each symbolic
 triangle entry once with them and sums plain ints.
 
 Scalars are plain ints and ``fractions.Fraction``.  A "ring element" below is
@@ -74,7 +74,7 @@ def power(base, k: int, one):
     return result
 
 
-# Shortest operand at which ``int_poly_mul`` leaves the schoolbook loop for
+# Shortest operand at which ``poly_mul`` leaves the schoolbook loop for
 # Kronecker substitution.  On a 2-core Xeon VM (Python 3.11.7) the big-int
 # path wins dense d x d products from d = 12-14 at 8-40 bits and d = 16-20 at
 # 200 bits (16 x 16 at 40 bits: 30 against 46 us).  A cut-over of 12 read the
@@ -117,24 +117,25 @@ def kronecker_unpack(value: int, w: int, n: int) -> list:
     return [fb(raw[k : k + w], "little") - half for k in range(0, w * n, w)]
 
 
-def int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list:
-    """Coefficients of the product of two nonempty integer polynomials
-    (lowest degree first): one big-int product by Kronecker substitution
-    when both have at least ``_KRONECKER_MIN_LEN`` coefficients, else the
-    schoolbook loop, which skips zero coefficients."""
+def poly_mul(a: Sequence, b: Sequence) -> list:
+    """Coefficients of the product of two nonempty polynomials over one
+    commutative ring (lowest degree first): one big-int product by Kronecker
+    substitution when both have at least ``_KRONECKER_MIN_LEN`` coefficients,
+    all exactly ``int``, else the schoolbook loop, which skips zero
+    coefficients."""
     la, lb = len(a), len(b)
-    if la < _KRONECKER_MIN_LEN or lb < _KRONECKER_MIN_LEN:
-        out = [0] * (la + lb - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for t, bj in enumerate(b, i):
-                    if bj:
-                        out[t] += ai * bj
-        return out
-    # |c_k| <= min(la, lb)·max|a|·max|b|; a zero maximum counts as 1, so that
-    # the bound covers every operand coefficient too.
-    w = kronecker_width(min(la, lb) * (max(map(abs, a)) or 1) * (max(map(abs, b)) or 1))
-    return kronecker_unpack(kronecker_pack(a, w) * kronecker_pack(b, w), w, la + lb - 1)
+    if min(la, lb) >= _KRONECKER_MIN_LEN and all(type(c) is int for c in (*a, *b)):
+        # |c_k| <= min(la, lb)·max|a|·max|b|; a zero maximum counts as 1, so
+        # that the bound covers every operand coefficient too.
+        w = kronecker_width(min(la, lb) * (max(map(abs, a)) or 1) * (max(map(abs, b)) or 1))
+        return kronecker_unpack(kronecker_pack(a, w) * kronecker_pack(b, w), w, la + lb - 1)
+    out = [0] * (la + lb - 1)
+    for i, ai in enumerate(a):
+        if ai != 0:
+            for t, bj in enumerate(b, i):
+                if bj != 0:
+                    out[t] += ai * bj
+    return out
 
 
 class UniPoly:
@@ -165,15 +166,6 @@ class UniPoly:
     def coeff(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def map_coeffs(self, fn) -> "UniPoly":
-        """Apply ``fn`` to every coefficient (e.g. evaluate nested polys)."""
-        return UniPoly(fn(c) for c in self.coeffs)
-
     def __add__(self, other):
         if not isinstance(other, UniPoly):
             other = UniPoly((other,))
@@ -197,25 +189,15 @@ class UniPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        """Product with a scalar or with another UniPoly: integer polynomials
-        (every coefficient exactly ``int``) through ``int_poly_mul``, every
-        other coefficient ring by the schoolbook double loop."""
+        """Product with a scalar, or with another UniPoly through
+        ``poly_mul``."""
         if not isinstance(other, UniPoly):
             if _is_zero(other):
                 return UniPoly()
             return UniPoly(c * other for c in self.coeffs)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return UniPoly()
-        if all(type(c) is int for c in a) and all(type(c) is int for c in b):
-            return UniPoly(int_poly_mul(a, b))
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if _is_zero(ai):
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return UniPoly(out)
+        return UniPoly(poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -232,15 +214,6 @@ class UniPoly:
                 raise DivisionByZero("division by zero")
             other = Fraction(other)
         return UniPoly(c / other for c in self.coeffs)
-
-    def __divmod__(self, other):
-        return poly_divmod(self, other)
-
-    def __floordiv__(self, other):
-        return poly_divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return poly_divmod(self, other)[1]
 
     def __call__(self, x):
         result = 0

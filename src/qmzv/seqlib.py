@@ -45,6 +45,8 @@ def bell_complete(n: int, xs: Sequence):
     Production path: the binomial convolution
     Y_{t+1} = sum_k C(t, k) Y_{t-k} x_{k+1}.
     """
+    if n < 0:
+        raise ValueError("need n >= 0")
     if len(xs) < n:
         raise InsufficientInput(f"need {n} inputs, got {len(xs)}")
     xs = [fractionize(x) for x in xs]
@@ -63,6 +65,8 @@ def bell_partition_sum(n: int, xs: Sequence):
     Oracle path (factorial cost); each partition with multiplicities
     (i_1, i_2, ...) contributes n!/(prod i_j!) * prod (x_j / j!)^(i_j).
     """
+    if n < 0:
+        raise ValueError("need n >= 0")
     if len(xs) < n:
         raise InsufficientInput(f"need {n} inputs, got {len(xs)}")
     if n == 0:
@@ -125,6 +129,8 @@ def seq_transform_forward(a: Sequence, m: int, route: str = "recurrence"):
     1..m-1), "partition" (Y_m(x)/m! summed over the partitions of m by
     :func:`bell_partition_sum`, x_j = (-1)^(j-1) (j-1)! a_j).
     """
+    if m < 0:
+        raise ValueError("need m >= 0")
     if len(a) < m:
         raise InsufficientInput(f"need {m} terms, got {len(a)}")
     if route not in _FORWARD_ROUTES:
@@ -147,6 +153,8 @@ def seq_transform_inverse(b: Sequence, n: int, route: str = "recurrence"):
     "recurrence" (a_n = sum_{j<n} (-1)^(j-1) b_j a_{n-j} + (-1)^(n+1) n b_n,
     which is -q_n of :func:`exactnum.newton_log` on f_j = (-1)^j b_j).
     """
+    if n < 0:
+        raise ValueError("need n >= 0")
     if len(b) < n:
         raise InsufficientInput(f"need {n} terms, got {len(b)}")
     if route not in _INVERSE_ROUTES:
@@ -223,6 +231,26 @@ def degen_bernoulli_poly(k: int) -> UniPoly:
     return c if isinstance(c, UniPoly) else UniPoly((Fraction(c),))
 
 
+@lru_cache(maxsize=None)
+def _slot(build, *args) -> list:
+    """One slot holding the longest tuple ``build(top, *args)`` has given so
+    far.  An lru cache holds it, so emptying the package's caches empties it."""
+    return [()]
+
+
+def _prefix(n: int, build, *args) -> tuple:
+    """Entries 0..n, and perhaps more, of the family that ``build(top, *args)``
+    gives up to entry top.  They are read from the longest tuple built so
+    far; one too short is rebuilt to at least twice its length, so a sweep
+    over n builds O(log n) series.  Each reader indexes the tuple it is
+    handed, so a concurrent rebuild costs time only."""
+    slot = _slot(build, *args)
+    values = slot[0]
+    if len(values) <= n:
+        values = slot[0] = tuple(build(max(n, 2 * len(values) - 1), *args))
+    return values
+
+
 def _bernoulli_orders(n_max: int, alpha: int) -> list:
     """B_0^(alpha), ..., B_{n_max}^(alpha): n! [t^n] of (t/(e^t - 1))^alpha
     = exp(-alpha log h) with h = (e^t - 1)/t, from one
@@ -235,11 +263,13 @@ def _bernoulli_orders(n_max: int, alpha: int) -> list:
     return [Fraction(1)] + [c * math.factorial(n) for n, c in enumerate(e[1:], 1)]
 
 
-@lru_cache(maxsize=None)
 def bernoulli_order(n: int, alpha: int) -> Fraction:
     """Higher-order Bernoulli number: n! times the t^n coefficient of
-    (t/(e^t - 1))^alpha, read from :func:`_bernoulli_orders`."""
-    return _bernoulli_orders(n, alpha)[n]
+    (t/(e^t - 1))^alpha, read from the :func:`_bernoulli_orders` prefix of
+    that alpha."""
+    if n < 0 or alpha < 0:
+        raise ValueError("need n, alpha >= 0")
+    return _prefix(n, _bernoulli_orders, alpha)[n]
 
 
 def _norlund_numbers(n_max: int) -> list:
@@ -252,8 +282,9 @@ def _norlund_numbers(n_max: int) -> list:
     return [c * math.factorial(n) for n, c in enumerate(series_inv(g))]
 
 
-@lru_cache(maxsize=None)
 def norlund(n: int) -> Fraction:
     """Norlund number: n! times the t^n coefficient of t/((1+t) log(1+t)),
-    read from :func:`_norlund_numbers`."""
-    return _norlund_numbers(n)[n]
+    read from the :func:`_norlund_numbers` prefix."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    return _prefix(n, _norlund_numbers)[n]

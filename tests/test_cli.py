@@ -218,8 +218,7 @@ def test_table_bernoulli_builds_each_family_from_one_series(capsys, monkeypatch)
 
     for name in calls:
         monkeypatch.setattr(seqlib, name, counted(name))
-    seqlib.norlund.cache_clear()
-    seqlib.bernoulli_order.cache_clear()
+    seqlib._slot.cache_clear()
     code, out, _ = run_cli(capsys, "table", "bernoulli", "--kind", "norlund", "--n-max", "30")
     assert code == 0 and len(out.splitlines()) == 32 and calls["series_inv"] == 1
     code, out, _ = run_cli(capsys, "table", "bernoulli", "--kind", "order", "--alpha", "3", "--n-max", "30")

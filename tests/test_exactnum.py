@@ -54,7 +54,7 @@ def test_unipoly_zero_degree_is_none():
 def test_unipoly_normalized_leading():
     p = UniPoly((F(1), F(2), F(0), F(0)))
     assert p.coeffs == (F(1), F(2))
-    assert p.leading() == 2
+    assert p.coeffs[-1] == 2
 
 
 def test_unipoly_eval_and_arith():
@@ -155,6 +155,17 @@ def test_kronecker_pack_at_a_bound_of_a_whole_number_of_bytes():
 def test_products_over_other_rings_equal_the_schoolbook_reference():
     rng = random.Random(31)
     cut = _KRONECKER_MIN_LEN
+    ctx = cyclo_ctx(7)
+    # (random coefficient, zero) of each ring: Fractions with Fraction(0),
+    # Fractions with int 0, nested integer polynomials with the zero
+    # polynomial, Q(zeta_7) with its zero
+    rings = (
+        (lambda: F(rng.randint(-99, 99), rng.randint(1, 99)), F(0)),
+        (lambda: F(rng.randint(-99, 99), rng.randint(1, 99)), 0),
+        (lambda: UniPoly(_int_coeffs(rng, cut + 1, 10**12)), UniPoly()),
+        (lambda: ctx.element([F(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(6)]),
+         ctx.zero()),
+    )
     for la, lb in ((cut - 1, cut), (cut, cut), (cut + 2, 40)):
         # one Fraction among ints: the schoolbook loop, exact Fraction results
         a = _int_coeffs(rng, la, 10**20)
@@ -167,6 +178,12 @@ def test_products_over_other_rings_equal_the_schoolbook_reference():
         got = UniPoly(a) * UniPoly(b)
         assert got.coeffs == _schoolbook(a, b).coeffs
         assert all(type(c) is int for inner in got.coeffs for c in inner.coeffs)
+        # every third interior coefficient set to the ring's zero
+        for draw, zero in rings:
+            a, b = [draw() for _ in range(la)], [draw() for _ in range(lb)]
+            for cs in (a, b):
+                cs[1:-1:3] = [zero] * len(cs[1:-1:3])
+            assert (UniPoly(a) * UniPoly(b)).coeffs == _schoolbook(a, b).coeffs
 
 
 def test_poly_divmod_roundtrip():

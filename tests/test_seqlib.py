@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from qmzv import seqlib
 from qmzv.exactnum import UniPoly
 from qmzv.qstirling import rstirling1
 from qmzv.seqlib import (
@@ -165,6 +166,19 @@ def test_transform_newton_identity_semantics():
         assert seq_transform_forward(a, m) == direct
 
 
+def test_negative_orders_are_refused_by_every_route():
+    a = [F(1), F(2), F(3)]
+    for route in ("recurrence", "determinant", "partition"):
+        with pytest.raises(ValueError, match="need m >= 0"):
+            seq_transform_forward(a, -1, route=route)
+    for route in ("recurrence", "determinant"):
+        with pytest.raises(ValueError, match="need n >= 0"):
+            seq_transform_inverse(a, -1, route=route)
+    for bell in (bell_complete, bell_partition_sum):
+        with pytest.raises(ValueError, match="need n >= 0"):
+            bell(-1, [])
+
+
 # ------------------------------------------------------- harmonic numbers
 
 
@@ -280,6 +294,42 @@ def test_norlund_values():
 def test_norlund_equals_diagonal_order():
     for n in range(13):
         assert norlund(n) == bernoulli_order(n, n), n
+
+
+def test_sweeps_over_n_read_one_growing_series(monkeypatch):
+    calls = {"series_inv": 0, "newton_log": 0}
+
+    def counted(name):
+        inner = getattr(seqlib, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(seqlib, name, counted(name))
+    for obj in vars(seqlib).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    swept = [norlund(n) for n in range(121)]
+    # the convolution identity of B^(a) and B^(b) at N = 40
+    big_n, a, b = 40, 2, 3
+    convolution = sum(
+        math.comb(big_n, k) * bernoulli_order(k, a) * bernoulli_order(big_n - k, b)
+        for k in range(big_n + 1)
+    )
+    assert calls["series_inv"] <= 8 and calls["newton_log"] <= 9
+    assert convolution == bernoulli_order(big_n, a + b)
+    assert swept == seqlib._norlund_numbers(120)
+    assert [bernoulli_order(n, a) for n in range(41)] == seqlib._bernoulli_orders(40, a)
+    with pytest.raises(ValueError):
+        norlund(-1)
+    with pytest.raises(ValueError):
+        bernoulli_order(-1, 2)
+    with pytest.raises(ValueError):
+        bernoulli_order(3, -1)
 
 
 def test_listed_constant_sequence():
