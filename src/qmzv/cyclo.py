@@ -15,6 +15,9 @@ coordinate.  Products convolve coordinates with ``exactnum.poly_mul``, the
 package's one polynomial product (Kronecker substitution from phi(n) >= 16).
 ``CycloCtx.element`` builds an element from rational coordinates, and
 ``coords`` gives them back (integral ones as ints, the others as Fractions).
+``CycloCtx.from_zeta_powers`` maps an integer polynomial in zeta of any
+length, such as an element of Z[x]/(x^n - 1), into the power basis; the
+brute oracle rationalizes its packed tuple sum through it.
 
 The inverses 1/(1 - zeta^i) have a closed form (``inv_one_minus_power``)
 that needs no field multiplication.  ``CycloElem.inverse`` takes any other
@@ -143,6 +146,13 @@ class CycloCtx:
         if i % n == 0:
             raise ZeroInverse("1 - zeta^i vanishes when n divides i")
         return self._sum_zeta_powers(((-k, i * k) for k in range(1, n)), n)
+
+    def from_zeta_powers(self, coeffs, den: int) -> "CycloElem":
+        """(sum_k coeffs[k] zeta^k) / den for integers coeffs[k] and den > 0,
+        with k running over every exponent, not only those below phi(n): the
+        image in Q(zeta_n) of an integer polynomial, such as an element of
+        Z[x]/(x^n - 1) in its n coefficients.  Integer additions only."""
+        return self._sum_zeta_powers(zip(coeffs, range(len(coeffs))), den)
 
     def _sum_zeta_powers(self, terms, den: int) -> "CycloElem":
         """(sum of c * zeta^e over the pairs (c, e) in ``terms``) / den, for

@@ -16,7 +16,9 @@ otherwise.  The substitution is three shared helpers: ``kronecker_width``
 gives the bytes per coefficient for a coefficient bound, ``kronecker_pack``
 evaluates an integer polynomial at q = 2^(8w), and ``kronecker_unpack`` reads
 the coefficients back; ``qstirling.orthogonality_check`` packs each symbolic
-triangle entry once with them and sums plain ints.
+triangle entry once with them and sums plain ints, and ``zeta.zeta_brute``
+packs its rows with them and hands ``tuple_product_sum`` a ``mul`` that
+reduces every product modulo 2^N - 1.
 
 Scalars are plain ints and ``fractions.Fraction``.  A "ring element" below is
 any immutable value supporting ``+``, ``-``, ``*`` and ``== 0`` against the
@@ -28,6 +30,7 @@ values can be shared freely between concurrent tasks.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -390,7 +393,7 @@ def newton_log(f: Sequence) -> list:
     return q
 
 
-def tuple_product_sum(rows: Sequence[Sequence], strict: bool = True):
+def tuple_product_sum(rows: Sequence[Sequence], strict: bool = True, mul=operator.mul):
     """Sum of rows[0][i_1] * ... * rows[m-1][i_m] over the index tuples
     i_1 < ... < i_m (i_1 <= ... <= i_m when ``strict`` is false) into rows
     of equal length.
@@ -399,6 +402,11 @@ def tuple_product_sum(rows: Sequence[Sequence], strict: bool = True):
     limit: each prefix product is computed once and shared by every tuple
     that extends it, and each product starts from its first factor.  Zero
     factors give 1 (the empty product); no tuple gives 0.
+
+    Every product is ``mul(prefix, factor)``, plain ``*`` by default.  With
+    a ``mul`` that reduces its product by a modulus (``zeta.zeta_brute``
+    folds packed integers modulo 2^N - 1), the result is congruent to the
+    sum modulo it; the additions are left unreduced.
     """
     m = len(rows)
     if m == 0:
@@ -412,12 +420,12 @@ def tuple_product_sum(rows: Sequence[Sequence], strict: bool = True):
         row = rows[d]
         if d == m - 1:
             for i in range(start, ends[d]):
-                p = row[i] if prefix is None else prefix * row[i]
+                p = row[i] if prefix is None else mul(prefix, row[i])
                 total = p if total is None else total + p
         else:
             # pushed last to first, so tuples are summed in lexicographic order
             for i in range(ends[d] - 1, start - 1, -1):
-                p = row[i] if prefix is None else prefix * row[i]
+                p = row[i] if prefix is None else mul(prefix, row[i])
                 stack.append((d + 1, i + step, p))
     return 0 if total is None else total
 

@@ -7,7 +7,13 @@ at q = zeta_n.  Every value is an exact rational (the summand multiset is
 stable under the Galois action zeta -> zeta^a), and every route here must
 return the same rational:
 
-* ``zeta_brute``        -- literal tuple enumeration in Q(zeta_n), the oracle;
+* ``zeta_brute``        -- literal tuple enumeration, the oracle: one product
+                           per tuple (prefixes shared), on integers packed
+                           modulo 2^N - 1, the image of Z[x]/(x^n - 1).
+                           When 2m > n - 1 it enumerates the shorter
+                           complementary tuples of (1 - zeta^i)^s instead,
+                           by prod_(i=1..n-1) (1 - zeta^i) = n, and the one
+                           total is rationalized in Q(zeta_n);
 * ``zeta_product``      -- coefficients of prod_j (1 + X/(1-zeta^j)^s), the
                            production route.  The full row m = 0..n-1 is
                            memoized per (n, s) and comes from one of two
@@ -42,6 +48,9 @@ from itertools import islice
 from .cyclo import as_rational, cyclo_ctx
 from .exactnum import (
     UniPoly,
+    kronecker_pack,
+    kronecker_unpack,
+    kronecker_width,
     newton_exp,
     newton_log,
     poly_interpolate,
@@ -251,10 +260,57 @@ def zeta_product(n: int, s: int, m_max: int):
     ]
 
 
-def zeta_brute(n: int, m: int, s: int, budget: int = DEFAULT_BRUTE_BUDGET) -> ZetaValue:
-    """Literal sum over all strictly increasing index tuples (the oracle).
+def _one_minus_power_cyclic(n: int, i: int, s: int) -> list:
+    """(1 - x^i)^s in Z[x]/(x^n - 1), as its n coefficients."""
+    out = [0] * n
+    for k in range(s + 1):
+        out[i * k % n] += (-1) ** k * math.comb(s, k)
+    return out
 
-    Refuses to enumerate more than ``budget`` tuples.
+
+def _cyclic_tuple_sum(n: int, rows, depth: int, count: int) -> list:
+    """The n coefficients of the sum over the ``count`` index tuples
+    i_1 < ... < i_depth of rows[i_1] ... rows[i_depth] in Z[x]/(x^n - 1),
+    each row given by at most n integer coefficients.
+
+    Every row is packed at x = 2^(8w), and every product of the literal
+    enumeration is reduced modulo M = 2^(8wn) - 1, the integer image of
+    x^n = 1: one big-int product, a mask, a shift and an add.  The L1 norm
+    is submultiplicative under cyclic convolution, so with L the largest row
+    norm every coefficient of the exact sum is below count * L^depth in
+    absolute value, and w = ``kronecker_width`` of that bound keeps the
+    packed exact sum inside (-M/2, M/2]: its balanced residue is that sum.
+    """
+    w = kronecker_width(count * max(sum(map(abs, r)) for r in rows) ** depth)
+    bits = 8 * w * n
+    mod = (1 << bits) - 1
+
+    def fold(a, b):
+        p = a * b
+        return (p & mod) + (p >> bits)
+
+    packed = [kronecker_pack(r, w) for r in rows]
+    total = tuple_product_sum([packed] * depth, mul=fold) % mod
+    if total > mod >> 1:
+        total -= mod
+    return kronecker_unpack(total, w, n)
+
+
+def zeta_brute(n: int, m: int, s: int, budget: int = DEFAULT_BRUTE_BUDGET) -> ZetaValue:
+    """Literal sum over all strictly increasing index tuples (the oracle),
+    or over their complements when those are shorter.
+
+    With v_i = n^s (1 - zeta^i)^(-s), which lies in Z[zeta_n],
+    Z = sum over the m-tuples of prod v / n^(sm).  Since
+    prod_(i=1..n-1) (1 - zeta^i) = n, each m-tuple's product is also the
+    product of u_i = (1 - zeta^i)^s over the complementary (n-1-m)-tuple,
+    divided by n^s; so when 2m > n - 1 the sum runs over those shorter
+    tuples, and m = n - 1 needs none.  Either way every tuple's product is
+    taken on packed integers modulo 2^N - 1 (``_cyclic_tuple_sum``) and the
+    one total is rationalized in Q(zeta_n).
+
+    Refuses to enumerate more than ``budget`` tuples, counted as C(n-1, m)
+    before any row is built.
     """
     _validate(n, m, s)
     if m == 0:
@@ -264,7 +320,15 @@ def zeta_brute(n: int, m: int, s: int, budget: int = DEFAULT_BRUTE_BUDGET) -> Ze
         raise BudgetExceeded(f"{count} tuples exceed budget {budget}")
     if count == 0:
         return ZetaValue(Fraction(0), "brute", (n, m, s))
-    total = tuple_product_sum([_inv_pows(n, s)] * m)
+    if 2 * m <= n - 1:
+        depth, den = m, n ** (s * m)
+        rows = [(c * n ** s).num for c in _inv_pows(n, s)]
+    else:
+        depth, den = n - 1 - m, n ** s
+        if depth == 0:
+            return ZetaValue(Fraction(1, den), "brute", (n, m, s))
+        rows = [_one_minus_power_cyclic(n, i, s) for i in range(1, n)]
+    total = cyclo_ctx(n).from_zeta_powers(_cyclic_tuple_sum(n, rows, depth, count), den)
     return ZetaValue(as_rational(total), "brute", (n, m, s))
 
 

@@ -556,6 +556,21 @@ def test_tuple_product_sum_edge_cases():
     assert tuple_product_sum([[], []], strict=False) == 0
 
 
+def test_tuple_product_sum_reduces_each_product_through_mul():
+    rng = random.Random(5)
+    prime = 10007
+    rows = [[rng.randint(-10**6, 10**6) for _ in range(6)] for _ in range(3)]
+
+    def mul_mod(a, b):
+        return a * b % prime
+
+    for strict in (True, False):
+        plain = tuple_product_sum(rows, strict=strict)
+        reduced = tuple_product_sum(rows, strict=strict, mul=mul_mod)
+        assert reduced != plain  # the products went through mul
+        assert reduced % prime == plain % prime
+
+
 class _Counted:
     """Fraction wrapper that counts ring multiplications."""
 

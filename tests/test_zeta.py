@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from qmzv.cyclo import as_rational, cyclo_ctx
-from qmzv.exactnum import UniPoly
+from qmzv.exactnum import UniPoly, tuple_product_sum
 from qmzv.qstirling import BadParams
 from qmzv.zeta import (
     REFERENCE_POLYNOMIALS,
@@ -13,6 +13,7 @@ from qmzv.zeta import (
     UnsupportedClosedForm,
     ZetaValue,
     _field_row,
+    _inv_pows,
     _multisection_is_cheaper,
     _multisection_row,
     _zeta_multi,
@@ -61,6 +62,46 @@ def test_brute_value_record():
 def test_brute_budget():
     with pytest.raises(BudgetExceeded):
         zeta_brute(40, 18, 1, budget=1000)
+
+
+def test_brute_matches_the_tuple_sum_in_the_field():
+    # Reference: the same tuples summed as elements of Q(zeta_n).  Every
+    # 1 <= m <= n - 1 for n <= 14 takes both the direct and the
+    # complementary enumeration.
+    for n in range(2, 15):
+        for m in range(1, n):
+            for s in range(1, 5):
+                want = as_rational(tuple_product_sum([_inv_pows(n, s)] * m))
+                assert zeta_brute(n, m, s).value == want, (n, m, s)
+
+
+@pytest.mark.parametrize(
+    "n, m, s",
+    [
+        # Phi_105 has the coefficient -2, so negative coordinates reach the
+        # balanced lift
+        (105, 2, 1),
+        (105, 102, 2),
+        (60, 57, 3),
+        (101, 100, 3),
+        (61, 58, 1),
+        (41, 38, 2),
+        (30, 4, 2),
+        (97, 1, 12),
+    ],
+)
+def test_brute_matches_closed_forms_beyond_the_grid(n, m, s):
+    if m == 1:
+        want = zeta_1s_degenerate_bernoulli(n, s)
+    else:
+        want = {1: zeta_m1_closed, 2: zeta_m2_closed, 3: zeta_m3_closed}[s](n, m)
+    assert zeta_brute(n, m, s).value == want
+
+
+def test_brute_of_the_full_tuple_is_one_over_n_to_the_s():
+    # prod_(i=1..n-1) (1 - zeta^i) = n, so the one (n-1)-tuple gives 1/n^s
+    assert zeta_brute(1200, 1199, 1).value == F(1, 1200)
+    assert zeta_brute(7, 6, 3).value == F(1, 343)
 
 
 def test_brute_rejects_bad_params():
