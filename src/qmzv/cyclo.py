@@ -24,6 +24,9 @@ that needs no field multiplication.  ``CycloElem.inverse`` takes any other
 inverse through the Galois norm, so every operation stays on integer
 coordinates and no route runs the extended Euclidean algorithm.
 
+``CycloCtx.trace`` dots coordinates with Tr(zeta^j), the power sums of the
+roots of Phi_n, which it tabulates on a context's first trace.
+
 ``CycloCtx.poly_power`` raises a polynomial over Z[zeta_n] to a power by
 Miller's recurrence on integer coordinates; the multisection engine of the
 product route runs on it in Q(zeta_s).
@@ -40,7 +43,7 @@ from functools import lru_cache
 
 # poly_xgcd has no caller here; it stays importable because the benchmark's
 # self-test (bench/test_harness.py) patches and restores cyclo.poly_xgcd.
-from .exactnum import UniPoly, poly_divmod, poly_mul, poly_xgcd, power  # noqa: F401
+from .exactnum import UniPoly, newton_log, poly_divmod, poly_mul, poly_xgcd, power  # noqa: F401
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -109,6 +112,7 @@ class CycloCtx:
             if top:
                 coords = [c + top * b for c, b in zip(coords, base)]
         self._zeta_pows = pows
+        self._traces = None
 
     def __repr__(self):
         return f"CycloCtx(n={self.n})"
@@ -146,6 +150,15 @@ class CycloCtx:
         if i % n == 0:
             raise ZeroInverse("1 - zeta^i vanishes when n divides i")
         return self._sum_zeta_powers(((-k, i * k) for k in range(1, n)), n)
+
+    def trace(self, a: "CycloElem") -> Fraction:
+        """Tr_(Q(zeta_n)/Q)(a), with Tr(zeta^j) = -q_j of ``newton_log`` on Phi_n reversed."""
+        if a.ctx.n != self.n:
+            raise ContextMismatch(f"trace in Q(zeta_{self.n}) of an element of Q(zeta_{a.ctx.n})")
+        if self._traces is None:
+            q = newton_log(self.phi_poly.coeffs[-2:0:-1])
+            self._traces = (self.degree,) + tuple(-c for c in q[1:])
+        return Fraction(sum(t * c for t, c in zip(self._traces, a.num)), a.den)
 
     def from_zeta_powers(self, coeffs, den: int) -> "CycloElem":
         """(sum_k coeffs[k] zeta^k) / den for integers coeffs[k] and den > 0,

@@ -2,6 +2,9 @@
 transform pair (multinomial sum / Toeplitz-Hessenberg determinants /
 convolution recurrences), harmonic and hyperharmonic numbers, degenerate
 Bernoulli numbers, and higher-order Bernoulli / Norlund numbers.
+
+Harmonic, degenerate Bernoulli (per m), higher-order Bernoulli (per alpha)
+and Norlund numbers each read one growing list through ``_prefix``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
-from .exactnum import UniPoly, det_hessenberg, newton_exp, newton_log, series_inv
+from .exactnum import BadConstantTerm, UniPoly, det_hessenberg, newton_exp, newton_log, series_inv
 from .util import fractionize
 
 
@@ -168,20 +171,16 @@ def seq_transform_inverse(b: Sequence, n: int, route: str = "recurrence"):
     return -newton_log([-x if j % 2 else x for j, x in enumerate(b[:n], 1)])[n]
 
 
-# H_0, H_1, ..., H_K: the prefix is extended in a loop, one addition per new
-# entry.  Entries are written only once their predecessor exists, so the keys
-# always form a contiguous prefix and a concurrent fill rewrites equal values.
-_HARMONIC = {0: Fraction(0)}
+def _harmonic_numbers(top: int) -> list:
+    """H_0, ..., H_top, one addition each."""
+    return list(accumulate((Fraction(1, k) for k in range(1, top + 1)), initial=Fraction(0)))
 
 
 def harmonic(n: int) -> Fraction:
-    """H_n = 1 + 1/2 + ... + 1/n."""
+    """H_n = 1 + 1/2 + ... + 1/n, read from the :func:`_harmonic_numbers` prefix."""
     if n < 1:
         raise ValueError("need n >= 1")
-    memo = _HARMONIC
-    for k in range(len(memo), n + 1):
-        memo[k] = memo[k - 1] + Fraction(1, k)
-    return memo[n]
+    return _prefix(n, _harmonic_numbers)[n]
 
 
 @lru_cache(maxsize=None)
@@ -190,17 +189,25 @@ def hyperharmonic(n: int, k: int) -> Fraction:
     from k - 1 prefix-sum passes over H_1..H_n."""
     if n < 1 or k < 1:
         raise ValueError("need n, k >= 1")
-    row = [harmonic(i) for i in range(1, n + 1)]
+    row = _prefix(n, _harmonic_numbers)[1 : n + 1]
     for _ in range(k - 1):
         row = list(accumulate(row))
     return row[-1]
 
 
+def _degen_bernoulli_numbers(top: int, m: int) -> list:
+    """beta_j(1/m) / j! for j = 0..top: the coefficients of t / ((1 + t/m)^m - 1),
+    inverted from the exact binomial expansion."""
+    return series_inv([Fraction(math.comb(m, j + 1), m ** (j + 1)) for j in range(top + 1)])
+
+
 def degen_bernoulli_series(m: int, order: int) -> list:
-    """The coefficients of t / ((1 + t/m)^m - 1) to the given order, inverted
-    from the exact binomial expansion: entry j is beta_j(1/m) / j! for every
-    j < order."""
-    return series_inv([Fraction(math.comb(m, j + 1), m ** (j + 1)) for j in range(order)])
+    """The coefficients of t / ((1 + t/m)^m - 1) to the given order: entry j
+    is beta_j(1/m) / j! for every j < order, read from the
+    :func:`_degen_bernoulli_numbers` prefix of that m."""
+    if order < 1:
+        raise BadConstantTerm("a series of order below 1 has no constant term 1")
+    return list(_prefix(order - 1, _degen_bernoulli_numbers, m)[:order])
 
 
 def degen_bernoulli(k: int, lam) -> Fraction:

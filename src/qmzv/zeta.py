@@ -29,7 +29,9 @@ return the same rational:
 * ``zeta_via_stirling`` -- first-kind generalized q-Stirling identity;
 * ``zeta_bell``         -- complete Bell polynomial in single-index values;
 * ``zeta_det``          -- Toeplitz-Hessenberg determinant in single-index
-                           values (and ``zeta_row_from_column`` inverts it);
+                           values (and ``zeta_row_from_column`` inverts it),
+                           each value Z_n(zeta_n; 1, k) one trace of
+                           (1 - zeta_e)^(-k) per divisor e > 1 of n;
 * closed forms for s = 1, 2, 3 and the degenerate-Bernoulli form for m = 1.
 
 The module also builds the subset-product polynomials F(s, l)(X, Y) from
@@ -107,26 +109,20 @@ def _validate(n: int, m: int, s: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _inv_one_minus(n: int):
-    """Inverses of (1 - zeta^i) for i = 1..n-1."""
-    ctx = cyclo_ctx(n)
-    return tuple(ctx.inv_one_minus_power(i) for i in range(1, n))
-
-
-@lru_cache(maxsize=None)
 def _inv_pows(n: int, s: int):
-    """(1 - zeta^i)^(-s) for i = 1..n-1."""
-    return tuple(c ** s for c in _inv_one_minus(n))
+    """(1 - zeta^i)^(-s) for i = 1..n-1: the closed forms at s = 1, their
+    s-th powers otherwise."""
+    if s == 1:
+        return tuple(cyclo_ctx(n).inv_one_minus_power(i) for i in range(1, n))
+    return tuple(c ** s for c in _inv_pows(n, 1))
 
 
 @lru_cache(maxsize=None)
 def _zeta_single(n: int, s: int) -> Fraction:
-    """Z_n(zeta_n; 1, s) = sum_i (1 - zeta^i)^(-s)."""
-    ctx = cyclo_ctx(n)
-    acc = ctx.zero()
-    for c in _inv_pows(n, s):
-        acc = acc + c
-    return as_rational(acc)
+    """Z_n(zeta_n; 1, s) = sum_i (1 - zeta^i)^(-s): the zeta^i of order e are the
+    conjugates of zeta_e, so one trace of (1 - zeta_e)^(-s) per divisor e > 1 of n."""
+    return sum(cyclo_ctx(e).trace(_inv_pows(e, 1)[0] ** s)
+               for e in range(2, n + 1) if n % e == 0)
 
 
 def _product_row_field(n: int, s: int):

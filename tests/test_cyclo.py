@@ -388,3 +388,21 @@ def test_element_builds_lowest_terms_from_fraction_coordinates():
     assert ctx.element([0, 0, 0, F(1, 3)]) == ctx.zeta_power(3) / 3
     with pytest.raises(ValueError):
         ctx.element([F(1, 2)] * 5)
+
+
+def test_trace_is_the_sum_of_the_galois_conjugates():
+    import math
+
+    rng = random.Random(18)
+    for n in range(1, 31):
+        ctx = cyclo_ctx(n)
+        units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
+        assert ctx.trace(ctx.one()) == ctx.degree
+        for _ in range(3):
+            a = ctx.element([F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(ctx.degree)])
+            conjugates = ctx.zero()
+            for u in units:
+                conjugates = conjugates + a.galois(u)
+            assert ctx.trace(a) == as_rational(conjugates), n
+    with pytest.raises(ContextMismatch):
+        cyclo_ctx(5).trace(cyclo_ctx(7).zeta())

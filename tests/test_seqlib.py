@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from qmzv import seqlib
-from qmzv.exactnum import UniPoly
+from qmzv.exactnum import BadConstantTerm, UniPoly
 from qmzv.qstirling import rstirling1
 from qmzv.seqlib import (
     InsufficientInput,
@@ -187,6 +187,18 @@ def test_harmonic_values():
     assert harmonic(3) == F(11, 6)
 
 
+def test_harmonic_over_a_shuffled_range_equals_the_direct_sum():
+    # start cold, so the shuffled calls extend and rebuild the shared prefix
+    seqlib._slot.cache_clear()
+    direct = [F(0)]
+    for k in range(1, 201):
+        direct.append(direct[-1] + F(1, k))
+    order = list(range(1, 201))
+    random.Random(18).shuffle(order)
+    for n in order:
+        assert harmonic(n) == direct[n], n
+
+
 def test_hyperharmonic_values():
     assert hyperharmonic(2, 2) == F(5, 2)
     assert hyperharmonic(3, 1) == harmonic(3)
@@ -238,6 +250,28 @@ def test_degen_bernoulli_rational_mode():
     assert degen_bernoulli(0, F(1, 2)) == 1
     # lambda = 1 collapses the generating function to the constant 1
     assert degen_bernoulli(3, 1) == 0
+
+
+def test_degen_bernoulli_sweep_reads_one_growing_series(monkeypatch):
+    inversions = []
+    inner = seqlib.series_inv
+
+    def counted(f):
+        inversions.append(len(f))
+        return inner(f)
+
+    monkeypatch.setattr(seqlib, "series_inv", counted)
+    seqlib._slot.cache_clear()
+    swept = [degen_bernoulli(k, F(1, 7)) for k in range(150)]
+    # one inversion per doubling of the prefix, not one per k
+    assert len(inversions) <= 9
+    # each value against its own inversion of the series cut at order k + 1
+    for k, value in enumerate(swept):
+        series = inner([F(math.comb(7, j + 1), 7 ** (j + 1)) for j in range(k + 1)])
+        assert value == series[k] * math.factorial(k), k
+    for order in (0, -1):
+        with pytest.raises(BadConstantTerm):
+            seqlib.degen_bernoulli_series(7, order)
 
 
 def test_degen_bernoulli_rational_vs_poly():

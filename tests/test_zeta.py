@@ -214,6 +214,49 @@ def test_route_agreement_sweep():
             assert zeta_via_stirling(4, m, s).value == 0
 
 
+# ------------------------------------------------------ single-index traces
+
+
+def test_single_index_traces_equal_the_sum_over_all_conjugates():
+    # the oracle walks all n - 1 summands (1 - zeta^i)^(-k) in Q(zeta_n)
+    def walk(n, k):
+        ctx = cyclo_ctx(n)
+        return as_rational(sum(_inv_pows(n, k), ctx.zero()))
+
+    grid = [(n, k) for n in range(2, 41) for k in range(1, 13)]
+    grid += [(n, k) for n in (60, 64, 97, 105) for k in range(1, 5)]
+    for n, k in grid:
+        assert _zeta_single(n, k) == walk(n, k), (n, k)
+
+
+def test_single_index_traces_at_large_n_match_degenerate_bernoulli():
+    for n in (97, 210):
+        for k in range(1, 13):
+            assert _zeta_single(n, k) == zeta_1s_degenerate_bernoulli(n, k), (n, k)
+
+
+def test_bell_and_det_match_the_closed_forms_at_large_n():
+    for n in (97, 105, 211):
+        for m in range(1, 7):
+            for s, closed in ((2, zeta_m2_closed), (3, zeta_m3_closed)):
+                want = closed(n, m)
+                assert zeta_bell(n, m, s).value == want, (n, m, s)
+                assert zeta_det(n, m, s).value == want, (n, m, s)
+
+
+def test_bell_builds_one_inverse_table():
+    from qmzv import cyclo, exactnum, qstirling, seqlib
+    from qmzv import zeta as zmod
+
+    for mod in (cyclo, exactnum, qstirling, seqlib, zmod):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    zeta_bell(41, 20, 2)
+    # the one table of closed forms 1/(1 - zeta_41^i), no table per power
+    assert _inv_pows.cache_info().currsize == 1
+
+
 # -------------------------------------------------------------- closed forms
 
 
