@@ -1,6 +1,7 @@
 """Exact arithmetic kernel: dense polynomials, determinant routines, the
-power-series loops and the two tuple-sum enumerators (``tuple_product_sum``,
-``subset_product_sums``) over generic commutative coefficient rings.
+power-series loops, the one tuple-sum enumerator ``tuple_product_sum`` and
+the expansion ``subset_product_sums`` of prod (1 + vX), over generic
+commutative coefficient rings.
 
 A truncated power series is a plain coefficient sequence, lowest degree
 first, whose length is its order.  Three loops are the whole series layer:
@@ -430,24 +431,18 @@ def tuple_product_sum(rows: Sequence[Sequence], strict: bool = True, mul=operato
     return 0 if total is None else total
 
 
-def subset_product_sums(values: Sequence) -> list:
+def subset_product_sums(values: Sequence, one=1) -> list:
     """``sums[k]`` = sum over the k-subsets of ``values`` of their products,
-    for k = 0..len(values), with sums[0] = 1.
+    for k = 0..len(values), with sums[0] = ``one``, the ring's unit.
 
-    One literal sweep of all 2^N subsets on an explicit stack; each subset's
-    product extends its parent's by one factor.
+    These are the coefficients of prod_v (1 + vX), multiplied out one factor
+    at a time: N(N+1)/2 ring products for N values.
     """
-    sums = [1] + [0] * len(values)
-    stack = [(0, 0, None)]  # (next position, subset size, product so far)
-    while stack:
-        pos, size, prod = stack.pop()
-        if pos == len(values):
-            if size:
-                sums[size] = sums[size] + prod
-            continue
-        v = values[pos]
-        stack.append((pos + 1, size + 1, v if prod is None else prod * v))
-        stack.append((pos + 1, size, prod))
+    sums = [one]
+    for v in values:
+        sums.append(v * sums[-1])
+        for k in range(len(sums) - 2, 0, -1):
+            sums[k] = sums[k] + v * sums[k - 1]
     return sums
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from threading import Lock, RLock
 
@@ -31,7 +30,6 @@ from .exactnum import (
     UniPoly,
     kronecker_pack,
     kronecker_width,
-    subset_product_sums,
     tuple_product_sum,
 )
 from .util import CheckResult
@@ -246,15 +244,6 @@ def stirling2(n: int, k: int, r: int = 1, s: int = 1, q: QPoint = SymbolicQ()):
     return _table("second", r, s, q).entry(n, k)
 
 
-@lru_cache(maxsize=None)
-def _chosen_product_sums(n: int, r: int, s: int, q: QPoint):
-    """Bucketed subset sweep: index j holds the sum over all strictly
-    increasing j-tuples from { ([i]_q)^s : r <= i <= n-1 } of the tuple
-    product."""
-    tab = _table("first", r, s, q)
-    return tuple(subset_product_sums([tab.weight(i) for i in range(r, n)]))
-
-
 def stirling1_closed(n: int, m: int, r: int = 1, s: int = 1, q: QPoint = SymbolicQ()):
     """Both combinatorial closed forms of the first-kind entry (n, m).
 
@@ -264,21 +253,27 @@ def stirling1_closed(n: int, m: int, r: int = 1, s: int = 1, q: QPoint = Symboli
       strictly increasing tuples from [r, n-1], and
     * the plain elementary-symmetric sum of ([i_1]...[i_{n-m}])^s.
 
-    The reciprocal form is evaluated literally, with field divisions, at a
-    rational or root-of-unity q.  At a symbolic q the cancelled weight turns
-    each (m-r)-subset into its complementary (n-m)-subset, so both values
-    are the product sum and only the comparison with :func:`stirling1` is a
-    real check.  These are exponential-cost oracle paths.
+    The product side is one literal enumeration of the (n-m)-tuples per
+    call, the oracle for the first-kind recurrence.  The reciprocal form is
+    evaluated literally, with field divisions, at a rational or
+    root-of-unity q; a q at which some [i]_q, r <= i <= n-1, vanishes is
+    refused.  At a symbolic q the cancelled weight turns each (m-r)-subset
+    into its complementary (n-m)-subset, so both values are the product sum
+    and only the comparison with :func:`stirling1` is a real check.  These
+    are exponential-cost oracle paths.
     """
     if not 1 <= r <= m <= n - 1:
         raise BadParams("need r <= m <= n-1")
     if s < 1:
         raise BadParams("need s >= 1")
-    prod = _chosen_product_sums(n, r, s, q)[n - m]
-    if isinstance(q, SymbolicQ):
-        return prod, prod
     tab = _table("first", r, s, q)
     weights = [tab.weight(i) for i in range(r, n)]
+    for i, v in enumerate(weights, r):
+        if v == 0:
+            raise BadParams(f"[{i}]_q vanishes at this q; the reciprocal form divides by it")
+    prod = tuple_product_sum([weights] * (n - m))
+    if isinstance(q, SymbolicQ):
+        return prod, prod
     w = math.prod(weights, start=q.one())  # ([n-1]_q! / [r-1]_q!)^s
     inv_values = [1 / v for v in weights]
     return w * tuple_product_sum([inv_values] * (m - r)), prod

@@ -121,19 +121,13 @@ def _inv_pows(n: int, s: int):
 def _zeta_single(n: int, s: int) -> Fraction:
     """Z_n(zeta_n; 1, s) = sum_i (1 - zeta^i)^(-s): the zeta^i of order e are the
     conjugates of zeta_e, so one trace of (1 - zeta_e)^(-s) per divisor e > 1 of n."""
-    return sum(cyclo_ctx(e).trace(_inv_pows(e, 1)[0] ** s)
-               for e in range(2, n + 1) if n % e == 0)
+    ctxs = (cyclo_ctx(e) for e in range(2, n + 1) if n % e == 0)
+    return sum(ctx.trace(ctx.inv_one_minus_power(1) ** s) for ctx in ctxs)
 
 
 def _product_row_field(n: int, s: int):
     """All X-coefficients of prod_j (1 + X/(1-zeta^j)^s) in Q(zeta_n)."""
-    ctx = cyclo_ctx(n)
-    coeffs = [ctx.one()]
-    for c in _inv_pows(n, s):
-        coeffs.append(ctx.zero())
-        for k in range(len(coeffs) - 1, 0, -1):
-            coeffs[k] = coeffs[k] + c * coeffs[k - 1]
-    return coeffs
+    return subset_product_sums(_inv_pows(n, s), cyclo_ctx(n).one())
 
 
 @lru_cache(maxsize=None)
@@ -176,10 +170,7 @@ def _multisection_row(n: int, s: int):
     ctx = cyclo_ctx(s)
     total = [ctx.zero()] * n
     for subset, size in _rotation_orbits(s):
-        g = [ctx.one()]
-        for r in subset:
-            w = ctx.zeta_power(r)
-            g = [a + w * b for a, b in zip(g + [ctx.zero()], [ctx.zero()] + g)]
+        g = subset_product_sums([ctx.zeta_power(r) for r in subset], ctx.one())
         top = n * len(subset)
         powers = ctx.poly_power(g, n, top)
         weight = (-1) ** (s - len(subset)) * size
@@ -526,9 +517,11 @@ def harmonic_decomposition_check(n: int, s: int) -> CheckResult:
     q-series with (1-q)^j denominators, verified exactly in Q(zeta_n):
     Z_n(q; 1, s) = sum_j C(s-1, j-1) z_n(q; j) / (1-q)^j at q = zeta_n."""
     result = CheckResult(["harmonic-decomposition"])
-    rhs = cyclo_ctx(n).zero()
+    ctx = cyclo_ctx(n)
+    inv = ctx.inv_one_minus_power(1)
+    rhs = ctx.zero()
     for j in range(1, s + 1):
-        rhs = rhs + math.comb(s - 1, j - 1) * (harmonic_q_series(n, (j,)) * _inv_pows(n, j)[0])
+        rhs = rhs + math.comb(s - 1, j - 1) * (harmonic_q_series(n, (j,)) * inv ** j)
     result.record(rhs == _zeta_single(n, s), n=n, s=s)
     return result
 

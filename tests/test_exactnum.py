@@ -597,10 +597,10 @@ def test_tuple_sums_share_prefixes_and_start_from_the_first_factor():
     # 3 shared pair prefixes, then one multiplication per 3-tuple
     assert _Counted.muls == 3 + 4
     _Counted.muls = 0
-    sums = subset_product_sums(values)
-    assert [getattr(c, "v", c) for c in sums] == [1, 17, 101, 247, 210]
-    # one multiplication per subset of size >= 2
-    assert _Counted.muls == 2 ** 4 - 1 - 4
+    sums = subset_product_sums(values, _Counted(F(1)))
+    assert [c.v for c in sums] == [1, 17, 101, 247, 210]
+    # prod (1 + vX) multiplied out one factor at a time: N(N+1)/2 products
+    assert _Counted.muls == 4 * 5 // 2
 
 
 def test_subset_product_sums_match_literal_combinations():
@@ -609,6 +609,19 @@ def test_subset_product_sums_match_literal_combinations():
         values = [rand_frac(rng) for _ in range(size)]
         want = [sum(prod(c) for c in combinations(values, k)) for k in range(size + 1)]
         assert subset_product_sums(values) == want
+
+
+def test_subset_product_sums_in_a_field_match_literal_combinations():
+    rng = random.Random(13)
+    for n in (3, 5, 12):
+        ctx = cyclo_ctx(n)
+        for size in range(0, 7):
+            values = [ctx.element([rand_frac(rng) for _ in range(ctx.degree)]) for _ in range(size)]
+            want = [
+                sum((prod(c, start=ctx.one()) for c in combinations(values, k)), ctx.zero())
+                for k in range(size + 1)
+            ]
+            assert subset_product_sums(values, ctx.one()) == want, (n, size)
 
 
 def test_subset_product_sums_edge_cases():

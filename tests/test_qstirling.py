@@ -194,6 +194,31 @@ def test_stirling1_closed_matches_recurrence():
                         assert a == want and b == want, (q, r, s, n, m)
 
 
+def test_stirling1_closed_enumerates_the_product_side(monkeypatch):
+    depths = []
+    real = qstirling.tuple_product_sum
+
+    def counting(rows, *args, **kwargs):
+        depths.append(len(rows))
+        return real(rows, *args, **kwargs)
+
+    monkeypatch.setattr(qstirling, "tuple_product_sum", counting)
+    for q in (SYM, RationalQ(F(7, 5))):
+        for n, m, r in ((6, 2, 1), (7, 4, 2), (5, 4, 1)):
+            depths.clear()
+            a, b = stirling1_closed(n, m, r, 2, q)
+            assert a == b == stirling1(n, m, r, 2, q)
+            # the product side first, then (off symbolic q) the reciprocal side
+            assert depths == ([n - m] if q is SYM else [n - m, m - r]), (q, n, m, r)
+
+
+def test_stirling1_closed_refuses_a_vanishing_q_number():
+    with pytest.raises(BadParams, match=r"\[7\]_q vanishes"):
+        stirling1_closed(8, 3, 1, 1, RootOfUnityQ(7))
+    with pytest.raises(BadParams, match=r"\[2\]_q vanishes"):
+        stirling1_closed(3, 1, 1, 1, RationalQ(-1))
+
+
 def test_stirling1_closed_range_check():
     with pytest.raises(BadParams):
         stirling1_closed(4, 4, 1, 1, Q1)

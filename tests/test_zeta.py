@@ -6,7 +6,7 @@ import pytest
 
 from qmzv.cyclo import as_rational, cyclo_ctx
 from qmzv.exactnum import UniPoly, tuple_product_sum
-from qmzv.qstirling import BadParams
+from qmzv.qstirling import BadParams, rstirling1
 from qmzv.zeta import (
     REFERENCE_POLYNOMIALS,
     BudgetExceeded,
@@ -16,6 +16,7 @@ from qmzv.zeta import (
     _inv_pows,
     _multisection_is_cheaper,
     _multisection_row,
+    _reciprocal_tuple_sums,
     _zeta_multi,
     _zeta_single,
     f_poly,
@@ -253,8 +254,8 @@ def test_bell_builds_one_inverse_table():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
     zeta_bell(41, 20, 2)
-    # the one table of closed forms 1/(1 - zeta_41^i), no table per power
-    assert _inv_pows.cache_info().currsize == 1
+    # one closed form 1/(1 - zeta_e) per divisor e, no table of all of them
+    assert _inv_pows.cache_info().currsize == 0
 
 
 # -------------------------------------------------------------- closed forms
@@ -291,6 +292,17 @@ def test_m2_rstirling_examples():
             want = zeta_m2_closed(n, m)
             a, b = zeta_m2_rstirling(n, m)
             assert a == want and b == want, (n, m)
+
+
+def test_reciprocal_tuple_sums_are_r_stirling_numbers():
+    # T_k = e_(k+1)(1/(m+1), ..., 1/(2m+1)) = [2m+2, m+k+2]_(m+1) m!/(2m+1)!,
+    # the r-Stirling table filled by its own recurrence
+    for m in range(41):
+        scale = Fraction(math.factorial(m), math.factorial(2 * m + 1))
+        sums = _reciprocal_tuple_sums(m)
+        assert len(sums) == m + 1
+        for k in range(m + 1):
+            assert sums[k] == rstirling1(2 * m + 2, m + k + 2, m + 1) * scale, (m, k)
 
 
 def test_m3_closed_examples():
