@@ -305,18 +305,43 @@ def stirling2_iterated(n: int, k: int, r: int = 1, s: int = 1, q: QPoint = Symbo
     return nested, monotone
 
 
-def _packed(matrices, n_max: int):
-    """The matrices with every ``UniPoly`` entry replaced by its value at
-    q = 2^(8w), for one byte width w that covers every signed sum of
-    ``orthogonality_check`` at this n_max (see there); other entries stay."""
-    polys = [e.coeffs for rows in matrices for row in rows for e in row if isinstance(e, UniPoly)]
-    longest = max(map(len, polys), default=0)
-    top = max((abs(c) for cs in polys for c in cs), default=0)
-    w = kronecker_width((n_max + 1) * longest * top * top + 1)
-    return [
-        [[kronecker_pack(e.coeffs, w) if isinstance(e, UniPoly) else e for e in row] for row in rows]
-        for rows in matrices
+def _packed(fs, ss):
+    """``(fs, ss, w)``: the two symbolic triangles with every ``UniPoly``
+    entry replaced by its value at q = 2^(8w), for the one byte width w that
+    covers every signed sum of ``orthogonality_check`` (see there); the int
+    zeros stay."""
+    size = len(fs)
+    # (length, largest |coefficient|) of each nonzero entry, None for a zero
+    f_shapes, s_shapes = (
+        [[(len(e.coeffs), max(map(abs, e.coeffs))) if e != 0 else None for e in row] for row in rows]
+        for rows in (fs, ss)
+    )
+    bound = 0
+    for a, b in ((f_shapes, s_shapes), (s_shapes, f_shapes)):
+        for n in range(size):
+            row = a[n]
+            for m in range(n + 1):
+                total = 0
+                for k in range(m, n + 1):
+                    x = row[k]
+                    y = b[k][m]
+                    if x and y:
+                        total += min(x[0], y[0]) * x[1] * y[1]
+                if total > bound:
+                    bound = total
+    w = kronecker_width(bound + 1)
+    packed = [
+        [[kronecker_pack(e.coeffs, w) if e != 0 else 0 for e in row] for row in rows] for rows in (fs, ss)
     ]
+    return packed[0], packed[1], w
+
+
+def _over_common_denominator(fs, ss):
+    """``(fs, ss, d)``: the two rational triangles scaled to ints by d, the
+    lcm of every entry's denominator."""
+    d = math.lcm(*(e.denominator for rows in (fs, ss) for row in rows for e in row))
+    scaled = [[[e.numerator * (d // e.denominator) for e in row] for row in rows] for rows in (fs, ss)]
+    return scaled[0], scaled[1], d
 
 
 def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = SymbolicQ()) -> CheckResult:
@@ -327,18 +352,27 @@ def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = Symbolic
     sum_k (-1)^(k-m) {n k} [k m] = delta(n, m).
 
     Both triangles are read once, through the tables' own ``entry``, into
-    (n_max+1) x (n_max+1) matrices.  At a symbolic q every entry is then
-    replaced by its value at q = 2^(8w), one int, and the sums run on plain
-    ints.  Each sum minus delta has at most n_max+1 terms, each a product of
-    two entries with at most L coefficients of absolute value at most M
-    (the longest entry and the largest coefficient of either triangle), so
-    its coefficients are at most B = (n_max+1) L M^2 + 1 in absolute value,
-    and w = ``kronecker_width(B)`` gives B < 2^(8w-1).  That makes the
-    comparison with delta exact by one lemma: an integer polynomial whose
-    coefficients are all at most 2^(8w-1) in absolute value is zero exactly
-    when its value at 2^(8w) is zero.  (If c q^j is its lowest nonzero term,
-    the value is 2^(8wj) (c + 2^(8w) t) for an integer t, and 0 < |c| <
-    2^(8w).)  Rational and root-of-unity points sum in their own ring.
+    (n_max+1) x (n_max+1) matrices.  At a symbolic or rational q the sums
+    then run on plain ints; at a root of unity they run in Q(zeta_n).
+
+    At a symbolic q every entry is replaced by its value at q = 2^(8w), one
+    int.  Each coefficient of a product a b of two entries is a sum of at
+    most min(len a, len b) products of a coefficient of a and one of b, so
+    it is at most min(len a, len b) max|a| max|b| in absolute value.
+    Summing that over the terms k of one sum, adding 1 for delta and taking
+    the largest value over every (n, m) and both identities gives a bound B
+    on every coefficient of every sum minus delta, and w =
+    ``kronecker_width(B)`` gives B < 2^(8w-1).  That makes the comparison
+    with delta exact by one lemma: an integer polynomial whose coefficients
+    are all at most 2^(8w-1) in absolute value is zero exactly when its
+    value at 2^(8w) is zero.  (If c q^j is its lowest nonzero term, the
+    value is 2^(8wj) (c + 2^(8w) t) for an integer t, and 0 < |c| <
+    2^(8w).)  Every nonzero entry is one term of a sum whose other factor is
+    a diagonal 1, so B also covers every coefficient that is packed.
+
+    At a rational q every entry e is replaced by the int e D, with D the lcm
+    of all the entries' denominators.  Each sum is then D^2 times its value,
+    and is compared with delta D^2: exact for any Fraction entries.
     """
     if n_max < 0:
         raise BadParams("need n_max >= 0")
@@ -347,15 +381,18 @@ def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = Symbolic
     second = _table("second", r, s, q).entry
     fs = [[first(n, k) for k in range(size)] for n in range(size)]
     ss = [[second(n, k) for k in range(size)] for n in range(size)]
+    unit = 1
     if isinstance(q, SymbolicQ):
-        fs, ss = _packed((fs, ss), n_max)
+        fs, ss, _ = _packed(fs, ss)
+    elif isinstance(q, RationalQ):
+        fs, ss, d = _over_common_denominator(fs, ss)
+        unit = d * d
     result = CheckResult(["orthogonality"])
     for n in range(size):
         for m in range(size):
-            hi = max(n, m)
             acc1 = 0
             acc2 = 0
-            for k in range(hi + 1):
+            for k in range(m, n + 1):  # the terms with k < m or k > n vanish
                 f_nk = fs[n][k]
                 s_km = ss[k][m]
                 if not (f_nk == 0 or s_km == 0):
@@ -366,7 +403,7 @@ def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = Symbolic
                 if not (s_nk == 0 or f_km == 0):
                     t = s_nk * f_km
                     acc2 = acc2 + (t if (k - m) % 2 == 0 else -t)
-            delta = 1 if n == m else 0
+            delta = unit if n == m else 0
             result.record(acc1 == delta, identity=1, n=n, m=m)
             result.record(acc2 == delta, identity=2, n=n, m=m)
     return result

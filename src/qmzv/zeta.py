@@ -387,6 +387,7 @@ def zeta_m2_closed(n: int, m: int) -> Fraction:
     )
 
 
+@lru_cache(maxsize=None)
 def rstirling_inner_poly(m: int) -> UniPoly:
     """sum_k [2m+2, m+k+2]_(m+1) (-1)^k x^k, the polynomial factor of the
     r-Stirling form of the s = 2 closed formula."""

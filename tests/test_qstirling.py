@@ -285,28 +285,41 @@ def test_orthogonality_symbolic_at_the_benchmark_sizes():
             assert res.passed and res.cases == 2 * 15 * 15
 
 
-def _reference_failures(r, s, n_max):
-    # both identities summed as plain UniPolys over the shared tables' entries
-    first = [[stirling1(n, k, r, s, SYM) for k in range(n_max + 1)] for n in range(n_max + 1)]
-    second = [[stirling2(n, k, r, s, SYM) for k in range(n_max + 1)] for n in range(n_max + 1)]
+def _reference_failures(r, s, n_max, q=SYM):
+    # both identities summed literally in q's ring over the shared tables' entries
+    first = [[stirling1(n, k, r, s, q) for k in range(n_max + 1)] for n in range(n_max + 1)]
+    second = [[stirling2(n, k, r, s, q) for k in range(n_max + 1)] for n in range(n_max + 1)]
+    zero = q.one() * 0
     failures = []
     for n in range(n_max + 1):
         for m in range(n_max + 1):
             ks = range(max(n, m) + 1)
-            sum1 = sum((UniPoly(((-1) ** (n - k),)) * first[n][k] * second[k][m] for k in ks), UniPoly())
-            sum2 = sum((UniPoly(((-1) ** (k - m),)) * second[n][k] * first[k][m] for k in ks), UniPoly())
-            delta = UniPoly((int(n == m),))
+            sum1 = sum(((-1) ** ((n - k) % 2) * first[n][k] * second[k][m] for k in ks), zero)
+            sum2 = sum(((-1) ** ((k - m) % 2) * second[n][k] * first[k][m] for k in ks), zero)
+            delta = q.one() if n == m else zero
             failures += [{"identity": i, "n": n, "m": m} for i, v in ((1, sum1), (2, sum2)) if v != delta]
     return failures
 
 
 def _check_width(r, s, n_max):
-    # the check's width for the current tables: (n_max+1) L M^2 + 1
-    rows = [(fn, n) for fn in (stirling1, stirling2) for n in range(n_max + 1)]
-    entries = [e.coeffs for fn, n in rows for k in range(n + 1) if (e := fn(n, k, r, s, SYM)) != 0]
-    longest = max(map(len, entries))
-    top = max(abs(c) for cs in entries for c in cs)
-    return kronecker_width((n_max + 1) * longest * top * top + 1)
+    # the check's width for the current tables: 1 + the largest sum over k of
+    # min(len a, len b) max|a| max|b| over the terms a b of one identity at one
+    # (n, m), which bounds every coefficient there
+    def shape(fn, n, k):
+        e = fn(n, k, r, s, SYM)
+        cs = e.coeffs if isinstance(e, UniPoly) else ()
+        return len(cs), max(map(abs, cs), default=0)
+
+    size = n_max + 1
+    fs = [[shape(stirling1, n, k) for k in range(size)] for n in range(size)]
+    ss = [[shape(stirling2, n, k) for k in range(size)] for n in range(size)]
+    bound = max(
+        sum(min(a[n][k][0], b[k][m][0]) * a[n][k][1] * b[k][m][1] for k in range(size))
+        for a, b in ((fs, ss), (ss, fs))
+        for n in range(size)
+        for m in range(size)
+    )
+    return kronecker_width(bound + 1)
 
 
 @pytest.mark.parametrize("kind", ["first", "second"])
@@ -333,25 +346,75 @@ def test_orthogonality_records_a_corrupted_entry(monkeypatch, kind, fault):
     assert res.cases == 2 * (n_max + 1) ** 2
 
 
+def _plus_one_on_top(e):
+    return UniPoly(e.coeffs[:-1] + (e.coeffs[-1] + 1,))
+
+
+def _plus_one_on_constant(e):
+    return UniPoly((e.coeffs[0] + 1,) + e.coeffs[1:])
+
+
+@pytest.mark.parametrize(
+    "q, kind, n0, k0, corrupt",
+    [
+        (SYM, "first", 14, 1, _plus_one_on_top),
+        (SYM, "second", 9, 4, _plus_one_on_constant),
+        (RationalQ(F(2, 3)), "first", 12, 5, lambda e: e + F(1, 7**20)),
+        (RationalQ(F(2, 3)), "second", 9, 4, lambda e: e + F(1, 7**20)),
+        (RationalQ(F(-1)), "first", 14, 1, lambda e: e + 1),
+        (RationalQ(F(-1)), "second", 9, 4, lambda e: e + 1),
+    ],
+    ids=["symbolic-top", "symbolic-constant", "2/3-first", "2/3-second", "-1-first", "-1-second"],
+)
+def test_orthogonality_at_the_widest_sizes_fails_on_one_corrupted_entry(
+    monkeypatch, q, kind, n0, k0, corrupt
+):
+    # the tables of a passing check at (n_max, r, s) = (14, 1, 3), one stored
+    # entry changed: the packed or common-denominator sums must see it
+    monkeypatch.setattr(qstirling, "_TABLES", {})
+    n_max, r, s = 14, 1, 3
+    assert orthogonality_check(n_max, r, s, q).passed
+    col = qstirling._table(kind, r, s, q)._cols[k0]
+    col[n0 - k0] = corrupt(col[n0 - k0])
+    res = orthogonality_check(n_max, r, s, q)
+    assert not res.passed
+    assert res.failures == _reference_failures(r, s, n_max, q)
+    assert res.cases == 2 * (n_max + 1) ** 2
+
+
 def test_packed_width_covers_the_largest_signed_sum():
-    # every entry M (1 + q + ... + q^(L-1)) and all n_max+1 terms of one sign:
-    # the middle coefficient of the sum reaches (n_max+1) L M^2, and minus
-    # delta one more; each must read back exactly at the check's width
-    for n_max in (0, 3, 14):
+    # triangles with a diagonal 1 and every entry below it
+    # top (1 + q + ... + q^(L-1)): with all its terms of one sign, the sum at
+    # (n, m) = (n_max, 0) reaches the per-term bound in its coefficient L-1, and
+    # minus 1 at L = 1 one more; each must read back exactly at the chosen width
+    for n_max in (0, 1, 3, 14):
+        size = n_max + 1
         for length in (1, 2, 7, 30):
             for bits in range(1, 70, 3):
                 for top in (2**bits - 1, 2**bits):
                     worst = UniPoly([top] * length)
-                    rows = [[worst] * (n_max + 1) for _ in range(n_max + 1)]
-                    # q itself packs to 2^(8w), which gives the width used
-                    (packed, gen), _ = qstirling._packed(([rows[0], [UniPoly((0, 1))]], rows), n_max)
-                    w = gen[0].bit_length() // 8
-                    product = worst * worst
+                    rows = [
+                        [worst if k < n else UniPoly((1,)) if k == n else 0 for k in range(size)]
+                        for n in range(size)
+                    ]
+                    fs, ss, w = qstirling._packed(rows, rows)
+                    # two terms with a diagonal 1 and n_max - 1 products of two worst
+                    bound = 2 * top + (n_max - 1) * length * top * top if n_max else 1
+                    assert w == kronecker_width(bound + 1)
+                    literal = sum((rows[n_max][k] * rows[k][0] for k in range(size)), UniPoly())
                     for sign in (1, -1):
-                        total = sign * (n_max + 1) * packed[0] * packed[0] - 1
-                        want = [sign * (n_max + 1) * c for c in product.coeffs]
+                        total = sign * sum(fs[n_max][k] * ss[k][0] for k in range(size)) - 1
+                        want = [sign * c for c in literal.coeffs]
                         want[0] -= 1
                         assert kronecker_unpack(total, w, len(want)) == want
+    # a bound of 2^7 - 1 needs the +1 for delta: one byte would not hold -2^7
+    one = UniPoly((1,))
+    fs, ss, w = qstirling._packed([[one, 0], [UniPoly((63,)), one]], [[one, 0], [UniPoly((64,)), one]])
+    assert w == 2 and kronecker_unpack(-(fs[1][0] * ss[0][0] + fs[1][1] * ss[1][0]) - 1, w, 1) == [-128]
+    # the widest check of rational_identities packs at 13 bytes
+    fs = [[stirling1(n, k, 1, 3, SYM) for k in range(15)] for n in range(15)]
+    ss = [[stirling2(n, k, 1, 3, SYM) for k in range(15)] for n in range(15)]
+    assert qstirling._packed(fs, ss)[2] <= 13
 
 
 # ----------------------------------------------------------------- rstirling
