@@ -10,6 +10,7 @@ report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -44,6 +45,24 @@ def _format_value(v) -> str:
         return str(v)
     # cyclotomic element: print as a polynomial in z = zeta_n
     return poly_str(UniPoly(v.coords), "z")
+
+
+@contextlib.contextmanager
+def _any_size_ints():
+    """Lift the interpreter's limit on the digits of an int turned into a
+    string (4300 by default; absent before Python 3.10.7) for the block, and
+    restore it after.  ``value`` and ``table`` format and write their output
+    inside one, so exact values of any size print; their inputs are parsed
+    outside it, under the limit."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _emit(text: str, out):
@@ -98,21 +117,22 @@ def _budget(args) -> int:
 
 def cmd_value(args) -> int:
     zv = zeta.zeta_value(args.n, args.m, args.s, method=args.method, budget=_budget(args))
-    header = ["n", "m", "s", "method", "value"]
-    row = [args.n, args.m, args.s, zv.method, str(zv.value)]
-    payload = dict(zip(header, row))
-    if args.approx:
-        approx = _approx(zv.value)
-        payload["approx"] = approx
-        header.append("approx")
-        row.append(repr(approx))
-    if args.format == "text":
-        text = f"Z(n={args.n}; m={args.m}, s={args.s}) = {zv.value} [{zv.method}]"
+    with _any_size_ints():
+        header = ["n", "m", "s", "method", "value"]
+        row = [args.n, args.m, args.s, zv.method, str(zv.value)]
+        payload = dict(zip(header, row))
         if args.approx:
-            text += f" (approx {approx!r})"
-        _emit(text + "\n", args.out)
-    else:
-        _render_rows(args.format, header, [row], args.out, payload)
+            approx = _approx(zv.value)
+            payload["approx"] = approx
+            header.append("approx")
+            row.append(repr(approx))
+        if args.format == "text":
+            text = f"Z(n={args.n}; m={args.m}, s={args.s}) = {zv.value} [{zv.method}]"
+            if args.approx:
+                text += f" (approx {approx!r})"
+            _emit(text + "\n", args.out)
+        else:
+            _render_rows(args.format, header, [row], args.out, payload)
     return 0
 
 
@@ -136,12 +156,22 @@ def cmd_table(args) -> int:
         raise BadParams(f"table {args.table} needs --n-max")
     if n_max is not None and n_max < 0:
         raise BadParams("--n-max must be >= 0")
+    q = parse_qpoint(args.q) if args.table in ("stirling1", "stirling2") else None
+    with _any_size_ints():
+        header, rows, payload = _table_rows(args, q)
+        _render_rows(args.format, header, rows, args.out, payload)
+    return 0
+
+
+def _table_rows(args, q):
+    """Header, rows and JSON payload of ``table``, for a q-point ``q``
+    already parsed from ``--q``."""
+    n_max = args.n_max
     if args.table == "zeta":
         values = [zv.value for zv in zeta.zeta_product(args.n, args.s, args.n - 1)]
         header, rows = _value_rows("m", values, args.approx)
         payload = {"kind": "zeta", "n": args.n, "s": args.s, "values": [str(v) for v in values]}
     elif args.table in ("stirling1", "stirling2"):
-        q = parse_qpoint(args.q)
         fn = stirling1 if args.table == "stirling1" else stirling2
         rows, values = _triangle(n_max, lambda n, k: _format_value(fn(n, k, r=args.r, s=args.s, q=q)))
         header = ["n", "k", "value"]
@@ -159,8 +189,7 @@ def cmd_table(args) -> int:
             label = "norlund"
         header, rows = _value_rows("n", vals, args.approx)
         payload = {"kind": "bernoulli", "family": label, "values": [str(v) for v in vals]}
-    _render_rows(args.format, header, rows, args.out, payload)
-    return 0
+    return header, rows, payload
 
 
 def cmd_poly(args) -> int:

@@ -225,8 +225,14 @@ class CycloCtx:
     def _mul_coords(self, a, b):
         """Product of two integer coordinate vectors, reduced mod Phi_n: the
         convolution is ``exactnum.poly_mul``, the product ``UniPoly`` uses."""
+        return self.reduce(poly_mul(a, b))
+
+    def reduce(self, conv: list) -> tuple:
+        """Coordinates of the integer polynomial ``conv`` (lowest degree
+        first, at least phi(n) coefficients) modulo Phi_n: the image in
+        Z[zeta_n] of a convolution of coordinates, or of a sum of them.
+        ``conv`` is reduced in place."""
         d = self.degree
-        conv = poly_mul(a, b)
         # x^n = 1 mod Phi_n: fold the top first (for prime n this leaves a
         # single power x^d to reduce), then clear x^t, t >= d, top-down.
         n = self.n

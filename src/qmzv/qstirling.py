@@ -20,6 +20,7 @@ coefficients of the generalized factorials for every n >= r.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -29,6 +30,7 @@ from .cyclo import CycloCtx, cyclo_ctx
 from .exactnum import (
     UniPoly,
     kronecker_pack,
+    kronecker_unpack,
     kronecker_width,
     tuple_product_sum,
 )
@@ -344,6 +346,18 @@ def _over_common_denominator(fs, ss):
     return scaled[0], scaled[1], d
 
 
+def _lifted(fs, ss):
+    """``(fs, ss, d)``: the two triangles at a root of unity with every field
+    entry e replaced by the integer polynomial of the coordinates of e d, d
+    the lcm of every entry's denominator; the int zeros stay."""
+    d = math.lcm(*(e.den for rows in (fs, ss) for row in rows for e in row if e != 0))
+    lifted = [
+        [[UniPoly(tuple(c * (d // e.den) for c in e.num)) if e != 0 else 0 for e in row] for row in rows]
+        for rows in (fs, ss)
+    ]
+    return lifted[0], lifted[1], d
+
+
 def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = SymbolicQ()) -> CheckResult:
     """Verify both inversion identities between the two triangles.
 
@@ -352,8 +366,7 @@ def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = Symbolic
     sum_k (-1)^(k-m) {n k} [k m] = delta(n, m).
 
     Both triangles are read once, through the tables' own ``entry``, into
-    (n_max+1) x (n_max+1) matrices.  At a symbolic or rational q the sums
-    then run on plain ints; at a root of unity they run in Q(zeta_n).
+    (n_max+1) x (n_max+1) matrices, and the sums run on plain ints.
 
     At a symbolic q every entry is replaced by its value at q = 2^(8w), one
     int.  Each coefficient of a product a b of two entries is a sum of at
@@ -373,6 +386,13 @@ def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = Symbolic
     At a rational q every entry e is replaced by the int e D, with D the lcm
     of all the entries' denominators.  Each sum is then D^2 times its value,
     and is compared with delta D^2: exact for any Fraction entries.
+
+    At q = zeta_n every entry e is lifted to the integer polynomial in zeta
+    of the coordinates of e D, D the lcm of all the entries' denominators,
+    and packed as at a symbolic q.  A sum is then the packed value of the
+    sum of the unreduced convolutions, D^2 times a lift of the field sum.
+    Its 2 phi(n) - 1 coefficients are unpacked, reduced modulo Phi_n once,
+    and compared with the coordinates of delta D^2.
     """
     if n_max < 0:
         raise BadParams("need n_max >= 0")
@@ -382,11 +402,23 @@ def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = Symbolic
     fs = [[first(n, k) for k in range(size)] for n in range(size)]
     ss = [[second(n, k) for k in range(size)] for n in range(size)]
     unit = 1
+    equals = operator.eq
     if isinstance(q, SymbolicQ):
         fs, ss, _ = _packed(fs, ss)
     elif isinstance(q, RationalQ):
         fs, ss, d = _over_common_denominator(fs, ss)
         unit = d * d
+    else:
+        fs, ss, d = _lifted(fs, ss)
+        fs, ss, w = _packed(fs, ss)
+        unit = d * d
+        ctx = q.ctx
+        size_conv = 2 * ctx.degree - 1
+        zeros = (0,) * (ctx.degree - 1)
+
+        def equals(acc, delta):
+            return ctx.reduce(kronecker_unpack(acc, w, size_conv)) == (delta, *zeros)
+
     result = CheckResult(["orthogonality"])
     for n in range(size):
         for m in range(size):
@@ -404,8 +436,8 @@ def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = Symbolic
                     t = s_nk * f_km
                     acc2 = acc2 + (t if (k - m) % 2 == 0 else -t)
             delta = unit if n == m else 0
-            result.record(acc1 == delta, identity=1, n=n, m=m)
-            result.record(acc2 == delta, identity=2, n=n, m=m)
+            result.record(equals(acc1, delta), identity=1, n=n, m=m)
+            result.record(equals(acc2, delta), identity=2, n=n, m=m)
     return result
 
 

@@ -3,6 +3,22 @@ transform pair (multinomial sum / Toeplitz-Hessenberg determinants /
 convolution recurrences), harmonic and hyperharmonic numbers, degenerate
 Bernoulli numbers, and higher-order Bernoulli / Norlund numbers.
 
+Both Bell and determinant transforms run on plain ints over one graded
+common denominator.  Give x_j the weight j.  Then Y_n is homogeneous of
+weight n: Y_n(c x_1, c^2 x_2, ...) = c^n Y_n(x), since every monomial
+x_(j_1) ... x_(j_k) of Y_n has j_1 + ... + j_k = n.  With D the lcm of the
+denominators of x_1, ..., x_n, each den(x_j) divides D and so D^j, so
+X_j = x_j D^j is an exact int and Y_n(x) = Y_n(X) / D^n.  The Hessenberg
+matrices of the determinant routes are graded the same way: entry (i, j)
+has weight i - j + 1 and the superdiagonal weight 0, so scaling row i by
+D^(i+1) and column j by D^(-j) gives an int matrix whose determinant is D^d
+times the original.  ``_graded`` computes the X_j and D once per input, and
+each transform makes one Fraction, at the end.  So ``bell_complete`` (and
+``elem_from_power_sums`` through it) and the determinant routes of
+``seq_transform_forward`` and ``seq_transform_inverse`` take ints and
+Fractions only; the recurrence and partition routes stay generic over any
+coefficient ring.
+
 Harmonic, degenerate Bernoulli (per m), higher-order Bernoulli (per alpha)
 and Norlund numbers each read one growing list through ``_prefix``.
 """
@@ -42,24 +58,40 @@ def _partition_multiplicities(n: int):
     yield from rec(n, n)
 
 
+def _graded(xs: Sequence):
+    """``(X, D)`` for the weight-graded rationals x_1, ..., x_d in ``xs``:
+    D is the lcm of their denominators and X_j = x_j D^j, an exact int
+    because den(x_j) divides D^j.  Anything but an int or a Fraction is
+    refused with a TypeError."""
+    for x in xs:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"Bell and determinant transforms take int or Fraction, not {type(x).__name__}")
+    d = math.lcm(*(x.denominator for x in xs))
+    graded = []
+    scale = 1
+    for x in xs:
+        scale *= d
+        graded.append(x.numerator * (scale // x.denominator))
+    return graded, d
+
+
 def bell_complete(n: int, xs: Sequence):
-    """Complete exponential Bell polynomial Y_n(x_1, ..., x_n), Y_0 = 1.
+    """Complete exponential Bell polynomial Y_n(x_1, ..., x_n), Y_0 = 1, for
+    int or Fraction x_j.
 
     Production path: the binomial convolution
-    Y_{t+1} = sum_k C(t, k) Y_{t-k} x_{k+1}.
+    Y_{t+1} = sum_k C(t, k) Y_{t-k} x_{k+1}, run on the graded ints
+    X_j = x_j D^j of :func:`_graded`; Y_n(x) = Y_n(X) / D^n by weight.
     """
     if n < 0:
         raise ValueError("need n >= 0")
     if len(xs) < n:
         raise InsufficientInput(f"need {n} inputs, got {len(xs)}")
-    xs = [fractionize(x) for x in xs]
-    ys = [Fraction(1)]
+    xs, d = _graded(xs[:n])
+    ys = [1]
     for t in range(n):
-        acc = 0
-        for k in range(t + 1):
-            acc = acc + math.comb(t, k) * (ys[t - k] * xs[k])
-        ys.append(acc)
-    return ys[n]
+        ys.append(sum(math.comb(t, k) * ys[t - k] * xs[k] for k in range(t + 1)))
+    return Fraction(ys[n], d**n)
 
 
 def bell_partition_sum(n: int, xs: Sequence):
@@ -95,13 +127,13 @@ def elem_from_power_sums(g: Sequence, big_k: int):
         return Fraction(1)
     if len(g) < big_k:
         raise InsufficientInput(f"need {big_k} power sums, got {len(g)}")
-    return bell_complete(big_k, _newton_bell_args(g, big_k)) / Fraction(math.factorial(big_k))
+    return bell_complete(big_k, _newton_bell_args(g, big_k)) / math.factorial(big_k)
 
 
 def _newton_bell_args(a: Sequence, m: int):
     """x_j = (-1)^(j-1) (j-1)! a_j for j = 1..m, so that Y_m(x)/m! is the
     m-th elementary symmetric value of the power sums a_1, a_2, ..."""
-    return [(-1) ** j * math.factorial(j) * fractionize(a[j]) for j in range(m)]
+    return [(-1) ** j * math.factorial(j) * a[j] for j in range(m)]
 
 
 _FORWARD_ROUTES = ("recurrence", "determinant", "partition")
@@ -118,7 +150,7 @@ def _hessenberg(first, band, superdiagonal):
         row = [first[i]] + [band[i - j] for j in range(1, i + 1)]
         if i + 1 < d:
             row.append(superdiagonal[i])
-        rows.append(row + [Fraction(0)] * (d - len(row)))
+        rows.append(row + [0] * (d - len(row)))
     return rows
 
 
@@ -131,6 +163,11 @@ def seq_transform_forward(a: Sequence, m: int, route: str = "recurrence"):
     (1/m!)-scaled Toeplitz-Hessenberg determinant with superdiagonal
     1..m-1), "partition" (Y_m(x)/m! summed over the partitions of m by
     :func:`bell_partition_sum`, x_j = (-1)^(j-1) (j-1)! a_j).
+
+    The determinant route takes int or Fraction a_i only.  Its matrix is
+    built on the graded ints A_i = a_i D^i of :func:`_graded`: entry (i, j)
+    of weight i - j + 1 becomes A_(i-j+1) and the superdiagonal stays, which
+    scales the determinant by D^m, so b_m = det / (D^m m!).
     """
     if m < 0:
         raise ValueError("need m >= 0")
@@ -138,15 +175,16 @@ def seq_transform_forward(a: Sequence, m: int, route: str = "recurrence"):
         raise InsufficientInput(f"need {m} terms, got {len(a)}")
     if route not in _FORWARD_ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    a = [fractionize(x) for x in a]
     if m == 0:
         return Fraction(1)
     if route == "determinant":
-        det = det_hessenberg(_hessenberg(a[:m], a, [Fraction(i) for i in range(1, m)]))
-        return det / Fraction(math.factorial(m))
+        graded, d = _graded(a[:m])
+        det = det_hessenberg(_hessenberg(graded, graded, range(1, m)))
+        return Fraction(det, d**m * math.factorial(m))
+    a = [fractionize(x) for x in a[:m]]
     if route == "partition":
         return bell_partition_sum(m, _newton_bell_args(a, m)) / Fraction(math.factorial(m))
-    return newton_exp([x if i % 2 else -x for i, x in enumerate(a[:m], 1)])[m]
+    return newton_exp([x if i % 2 else -x for i, x in enumerate(a, 1)])[m]
 
 
 def seq_transform_inverse(b: Sequence, n: int, route: str = "recurrence"):
@@ -155,6 +193,10 @@ def seq_transform_inverse(b: Sequence, n: int, route: str = "recurrence"):
     Routes: "determinant" (first column j*b_j, unit superdiagonal) and
     "recurrence" (a_n = sum_{j<n} (-1)^(j-1) b_j a_{n-j} + (-1)^(n+1) n b_n,
     which is -q_n of :func:`exactnum.newton_log` on f_j = (-1)^j b_j).
+
+    The determinant route takes int or Fraction b_j only and runs on the
+    graded ints B_j = b_j D^j of :func:`_graded`, graded as in
+    :func:`seq_transform_forward`: a_n = det / D^n.
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -162,13 +204,14 @@ def seq_transform_inverse(b: Sequence, n: int, route: str = "recurrence"):
         raise InsufficientInput(f"need {n} terms, got {len(b)}")
     if route not in _INVERSE_ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    b = [fractionize(x) for x in b]
     if n == 0:
         return Fraction(1)
     if route == "determinant":
-        first = [(i + 1) * b[i] for i in range(n)]
-        return det_hessenberg(_hessenberg(first, b, [Fraction(1)] * (n - 1)))
-    return -newton_log([-x if j % 2 else x for j, x in enumerate(b[:n], 1)])[n]
+        graded, d = _graded(b[:n])
+        first = [j * x for j, x in enumerate(graded, 1)]
+        return Fraction(det_hessenberg(_hessenberg(first, graded, [1] * (n - 1))), d**n)
+    b = [fractionize(x) for x in b[:n]]
+    return -newton_log([-x if j % 2 else x for j, x in enumerate(b, 1)])[n]
 
 
 def _harmonic_numbers(top: int) -> list:

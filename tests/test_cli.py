@@ -1,3 +1,4 @@
+import decimal
 import json
 import subprocess
 import sys
@@ -378,6 +379,22 @@ def test_approx_beyond_float_range_exits_one_with_one_error_line(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out
+
+
+def test_values_past_the_int_digit_limit_print_exactly(capsys):
+    # Z(2; 1, s) = 1/2^s: at s = 20000 the denominator has 6021 digits, past
+    # the interpreter's default limit of 4300 for int -> str.  Decimal gives
+    # the expected digits by another conversion, under no such limit.
+    den = str(decimal.Decimal(2**20000))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run_cli(capsys, "value", "--n", "2", "--m", "1", "--s", "20000")
+    assert (code, err) == (0, "")
+    assert out == f"Z(n=2; m=1, s=20000) = 1/{den} [product]\n"
+    code, out, err = run_cli(capsys, "table", "zeta", "--n", "2", "--s", "20000")
+    assert (code, err) == (0, "")
+    assert out == f"m  value\n0  1\n1  1/{den}\n"
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 # ------------------------------------------------------------ determinism

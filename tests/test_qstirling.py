@@ -363,14 +363,18 @@ def _plus_one_on_constant(e):
         (RationalQ(F(2, 3)), "second", 9, 4, lambda e: e + F(1, 7**20)),
         (RationalQ(F(-1)), "first", 14, 1, lambda e: e + 1),
         (RationalQ(F(-1)), "second", 9, 4, lambda e: e + 1),
+        (RootOfUnityQ(7), "first", 14, 1, lambda e: e + cyclo_ctx(7).zeta_power(5)),
+        (RootOfUnityQ(7), "second", 9, 4, lambda e: e + F(1, 7**20)),
     ],
-    ids=["symbolic-top", "symbolic-constant", "2/3-first", "2/3-second", "-1-first", "-1-second"],
+    ids=["symbolic-top", "symbolic-constant", "2/3-first", "2/3-second", "-1-first", "-1-second",
+         "root7-top", "root7-denominator"],
 )
 def test_orthogonality_at_the_widest_sizes_fails_on_one_corrupted_entry(
     monkeypatch, q, kind, n0, k0, corrupt
 ):
     # the tables of a passing check at (n_max, r, s) = (14, 1, 3), one stored
-    # entry changed: the packed or common-denominator sums must see it
+    # entry changed: the packed or common-denominator sums, and at a root of
+    # unity their reduction modulo Phi_n, must see it
     monkeypatch.setattr(qstirling, "_TABLES", {})
     n_max, r, s = 14, 1, 3
     assert orthogonality_check(n_max, r, s, q).passed

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from qmzv import seqlib
-from qmzv.exactnum import BadConstantTerm, UniPoly
+from qmzv.exactnum import BadConstantTerm, UniPoly, det_fraction_free
 from qmzv.qstirling import rstirling1
 from qmzv.seqlib import (
     InsufficientInput,
@@ -177,6 +177,70 @@ def test_negative_orders_are_refused_by_every_route():
     for bell in (bell_complete, bell_partition_sum):
         with pytest.raises(ValueError, match="need n >= 0"):
             bell(-1, [])
+
+
+# ------------------------------------- graded ints behind Bell and det
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89)
+
+
+def _graded_inputs(length):
+    """Named input sequences of the given length for the int transforms:
+    every weight must be scaled by its own power of the common denominator."""
+    rng = random.Random(29 + length)
+    yield "coprime", [F(rng.randint(-40, 40) or 1, p) for p in _PRIMES[:length]]
+    yield "large primes", [F(rng.randint(-(10**12), 10**12), rng.choice((2**61 - 1, 10**9 + 7, 998244353)))
+                           for _ in range(length)]
+    yield "zeros and signs", [F(rng.choice((0, 0, -1, 1)) * rng.randint(1, 9), rng.randint(1, 12))
+                              for _ in range(length)]
+    yield "zero first", [F(0)] + [F(rng.randint(-9, 9), rng.randint(1, 30)) for _ in range(length - 1)]
+    yield "ints", [rng.randint(-20, 20) for _ in range(length)]
+    yield "mixed", [rng.randint(-5, 5) if j % 2 else F(-1, _PRIMES[j]) for j in range(length)]
+
+
+def _hessenberg_det_oracle(first, band, superdiagonal):
+    # the unscaled Fraction matrix, by Bareiss elimination
+    d = len(first)
+    rows = [[F(first[i]) if j == 0 else F(band[i - j]) if j <= i else
+             F(superdiagonal[i]) if j == i + 1 else F(0) for j in range(d)] for i in range(d)]
+    return det_fraction_free(rows)
+
+
+def test_bell_on_graded_ints_equals_the_partition_sum():
+    for n in range(13):
+        for name, xs in _graded_inputs(max(n, 1)):
+            assert bell_complete(n, xs) == bell_partition_sum(n, xs), (name, n)
+
+
+def test_determinant_routes_equal_fraction_free_elimination_on_the_unscaled_matrix():
+    # every size to 12, then two up to 24 (the oracle's Fraction elimination
+    # costs d^3 gcds)
+    for d in (*range(1, 13), 18, 24):
+        for name, xs in _graded_inputs(d):
+            forward = _hessenberg_det_oracle(xs, xs, range(1, d)) / math.factorial(d)
+            assert seq_transform_forward(xs, d, route="determinant") == forward, (name, d)
+            first = [j * x for j, x in enumerate(xs, 1)]
+            inverse = _hessenberg_det_oracle(first, xs, [1] * (d - 1))
+            assert seq_transform_inverse(xs, d, route="determinant") == inverse, (name, d)
+
+
+def test_graded_transforms_refuse_values_that_are_not_rational():
+    from qmzv.cyclo import cyclo_ctx
+
+    cases = [
+        (lambda: bell_complete(2, [F(1), 0.5]), "float"),
+        (lambda: elem_from_power_sums([F(1), 2.0], 2), "float"),
+        (lambda: seq_transform_forward([UniPoly((0, 1))], 1, route="determinant"), "UniPoly"),
+        (lambda: seq_transform_inverse([F(1), cyclo_ctx(5).zeta()], 2, route="determinant"), "CycloElem"),
+    ]
+    for call, name in cases:
+        with pytest.raises(TypeError, match=name):
+            call()
+    # the recurrence routes stay generic over the coefficient ring
+    y = UniPoly((0, 1))
+    assert seq_transform_forward([y, y * y], 2) == 0
+    assert seq_transform_inverse([y, 0], 2) == y * y
 
 
 # ------------------------------------------------------- harmonic numbers
