@@ -31,6 +31,9 @@ roots of Phi_n, which it tabulates on a context's first trace.
 Miller's recurrence on integer coordinates; the multisection engine of the
 product route runs on it in Q(zeta_s).
 
+A context holds Phi_n, its nonzero terms and the trace table, and nothing
+of size n * phi(n): every power of zeta, every sum of powers and every
+product is brought into the power basis by one ``CycloCtx.reduce``.
 Contexts are cached per n and immutable; elements from different contexts
 never mix (checked, raises ContextMismatch).
 """
@@ -89,7 +92,8 @@ def cyclotomic_poly(n: int) -> UniPoly:
 
 
 class CycloCtx:
-    """Field context for Q(zeta_n): the modulus Phi_n plus reduction tables."""
+    """Field context for Q(zeta_n): the modulus Phi_n, its nonzero terms and
+    the trace table, built on the first trace."""
 
     def __init__(self, n: int):
         if n < 1:
@@ -97,22 +101,12 @@ class CycloCtx:
         self.n = n
         self.phi_poly = cyclotomic_poly(n)
         self.degree = self.phi_poly.degree()
-        d = self.degree
-        # x^d = sum_j base[j] x^j mod Phi_n; only the nonzero terms are kept
-        # for the top-down reduction of products.
-        base = [-c for c in self.phi_poly.coeffs[:-1]]
-        self._base_terms = tuple((j, b) for j, b in enumerate(base) if b)
-        # coordinates of zeta^m for m = 0 .. n-1
-        pows = []
-        coords = [1] + [0] * (d - 1)
-        for _ in range(n):
-            pows.append(tuple(coords))
-            top = coords[-1]
-            coords = [0] + coords[:-1]
-            if top:
-                coords = [c + top * b for c, b in zip(coords, base)]
-        self._zeta_pows = pows
+        # x^d = sum_j base_j x^j mod Phi_n, d = phi(n): the nonzero terms
+        # (j, base_j), for the top-down reduction of ``reduce``
+        self._base_terms = tuple((j, -c) for j, c in enumerate(self.phi_poly.coeffs[:-1]) if c)
         self._traces = None
+        self._one = self.zeta_power(0)
+        self._zeta = self.zeta_power(1)
 
     def __repr__(self):
         return f"CycloCtx(n={self.n})"
@@ -131,20 +125,21 @@ class CycloCtx:
         return _make(self, (0,) * self.degree, 1)
 
     def one(self) -> "CycloElem":
-        return _make(self, self._zeta_pows[0], 1)
+        return self._one
 
     def zeta(self) -> "CycloElem":
-        return _make(self, self._zeta_pows[1 % self.n], 1)
+        return self._zeta
 
     def zeta_power(self, m: int) -> "CycloElem":
-        return _make(self, self._zeta_pows[m % self.n], 1)
+        return self._sum_zeta_powers(((1, m),), 1)
 
     def inv_one_minus_power(self, i: int) -> "CycloElem":
         """1/(1 - zeta^i) in closed form, for every i with zeta^i != 1.
 
         With w = zeta^i, w != 1 and w^n = 1, (1 - w) sum_k k w^k = -n, so
         1/(1 - w) = -(1/n) sum_{k=1}^{n-1} k w^k.  This is exact and costs
-        O(n * phi(n)) integer additions: no xgcd, no field multiplication.
+        O(n) integer additions and one ``reduce``: no xgcd, no field
+        multiplication.
         """
         n = self.n
         if i % n == 0:
@@ -169,15 +164,12 @@ class CycloCtx:
 
     def _sum_zeta_powers(self, terms, den: int) -> "CycloElem":
         """(sum of c * zeta^e over the pairs (c, e) in ``terms``) / den, for
-        integers c and den > 0: integer additions only."""
-        out = [0] * self.degree
-        pows, n = self._zeta_pows, self.n
+        integers c and den > 0: the sum in Z[x]/(x^n - 1), then one ``reduce``."""
+        n = self.n
+        out = [0] * n
         for c, e in terms:
-            if c:
-                for j, pj in enumerate(pows[e % n]):
-                    if pj:
-                        out[j] += c * pj
-        return _canonical(self, out, den)
+            out[e % n] += c
+        return _canonical(self, self.reduce(out), den)
 
     def poly_power(self, coeffs, e: int, top: int) -> list:
         """Coefficients of xi^0 .. xi^top of g(xi)^e, for e >= 0 and a
@@ -201,7 +193,7 @@ class CycloCtx:
         # g = 1 has no terms: a step beyond top leaves only a_0 = 1
         step = math.gcd(*(t[0] for t in terms)) or top + 1
         mul = self._mul_coords
-        a = [self._zeta_pows[0]]  # a[j] = coordinates of a_(j * step)
+        a = [self.one().num]  # a[j] = coordinates of a_(j * step)
         for k in range(step, top + 1, step):
             acc = [0] * self.degree
             for i, r, vec in terms:

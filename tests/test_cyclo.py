@@ -306,6 +306,29 @@ def test_poly_power_matches_repeated_products():
     assert cyclo_ctx(5).poly_power([cyclo_ctx(5).one()], 7, 3) == [1, 0, 0, 0]
 
 
+def test_powers_of_zeta_wrap_around_as_repeated_products():
+    # zeta_power and from_zeta_powers reduce exponents modulo n before Phi_n;
+    # the oracle walks zeta^k = zeta * ... * zeta up from x mod Phi_n
+    rng = random.Random(22)
+    for n in range(1, 41):
+        ctx = cyclo_ctx(n)
+        _, x = poly_divmod(UniPoly((0, 1)), cyclotomic_poly(n))
+        assert ctx.zeta() == ctx.element(x.coeffs), n
+        pows = [ctx.one()]
+        for _ in range(3 * n):
+            pows.append(pows[-1] * ctx.zeta())
+        for m in range(-2 * n, 3 * n):
+            if m >= 0:
+                assert ctx.zeta_power(m) == pows[m], (n, m)
+            else:
+                assert ctx.zeta_power(m) * pows[-m] == ctx.one(), (n, m)
+        for _ in range(3):
+            coeffs = [rng.randint(-50, 50) for _ in range(3 * n)]
+            den = rng.randint(1, 12)
+            want = sum((c * p for c, p in zip(coeffs, pows)), ctx.zero()) / den
+            assert ctx.from_zeta_powers(coeffs, den) == want, (n, coeffs, den)
+
+
 def test_poly_power_refuses_non_monic_or_non_integral_input():
     ctx = cyclo_ctx(5)
     with pytest.raises(ValueError):

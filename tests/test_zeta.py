@@ -237,7 +237,7 @@ def test_single_index_traces_at_large_n_match_degenerate_bernoulli():
 
 
 def test_bell_and_det_match_the_closed_forms_at_large_n():
-    for n in (97, 105, 211):
+    for n in (97, 105, 211, 1009):
         for m in range(1, 7):
             for s, closed in ((2, zeta_m2_closed), (3, zeta_m3_closed)):
                 want = closed(n, m)
