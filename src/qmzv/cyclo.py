@@ -24,8 +24,9 @@ that needs no field multiplication.  ``CycloElem.inverse`` takes any other
 inverse through the Galois norm, so every operation stays on integer
 coordinates and no route runs the extended Euclidean algorithm.
 
-``CycloCtx.trace`` dots coordinates with Tr(zeta^j), the power sums of the
-roots of Phi_n, which it tabulates on a context's first trace.
+``CycloCtx.trace`` dots coordinates with Tr(zeta^j), the Ramanujan sums
+c_n(j) = mu(n/g) phi(n)/phi(n/g) with g = gcd(j, n), which it tabulates on
+a context's first trace in O(phi(n)) gcds; ``totient`` gives phi(n).
 
 ``CycloCtx.poly_power`` raises a polynomial over Z[zeta_n] to a power by
 Miller's recurrence on integer coordinates; the multisection engine of the
@@ -46,7 +47,7 @@ from functools import lru_cache
 
 # poly_xgcd has no caller here; it stays importable because the benchmark's
 # self-test (bench/test_harness.py) patches and restores cyclo.poly_xgcd.
-from .exactnum import UniPoly, newton_log, poly_divmod, poly_mul, poly_xgcd, power  # noqa: F401
+from .exactnum import UniPoly, poly_divmod, poly_mul, poly_xgcd, power  # noqa: F401
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -68,6 +69,42 @@ class NotRational(ValueError):
     def __init__(self, element):
         super().__init__(f"element is not rational: {element!r}")
         self.element = element
+
+
+def _prime_factors(n: int) -> list:
+    """The distinct primes dividing n >= 1, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def totient(n: int) -> int:
+    """Euler's phi(n), the degree of Q(zeta_n)."""
+    for p in _prime_factors(n):
+        n -= n // p
+    return n
+
+
+def _ramanujan_sums(n: int) -> tuple:
+    """c_n(j) = mu(n/g) phi(n)/phi(n/g), g = gcd(j, n), for j = 0..phi(n)-1:
+    the traces Tr(zeta_n^j) of the power basis."""
+    primes = _prime_factors(n)
+    phi = totient(n)
+    gcds = [math.gcd(j, n) for j in range(phi)]
+    by_gcd = {}
+    for g in set(gcds):
+        d = n // g
+        ps = [p for p in primes if d % p == 0]
+        squarefree = all(d % (p * p) for p in ps)
+        by_gcd[g] = (-1) ** len(ps) * (phi // totient(d)) if squarefree else 0
+    return tuple(by_gcd[g] for g in gcds)
 
 
 @lru_cache(maxsize=None)
@@ -147,12 +184,14 @@ class CycloCtx:
         return self._sum_zeta_powers(((-k, i * k) for k in range(1, n)), n)
 
     def trace(self, a: "CycloElem") -> Fraction:
-        """Tr_(Q(zeta_n)/Q)(a), with Tr(zeta^j) = -q_j of ``newton_log`` on Phi_n reversed."""
+        """Tr_(Q(zeta_n)/Q)(a), with Tr(zeta^j) the Ramanujan sum
+        mu(n/g) phi(n)/phi(n/g), g = gcd(j, n): zeta^j is a primitive
+        (n/g)-th root of unity, each of whose phi(n/g) conjugates it takes
+        phi(n)/phi(n/g) times, and those conjugates sum to mu(n/g)."""
         if a.ctx.n != self.n:
             raise ContextMismatch(f"trace in Q(zeta_{self.n}) of an element of Q(zeta_{a.ctx.n})")
         if self._traces is None:
-            q = newton_log(self.phi_poly.coeffs[-2:0:-1])
-            self._traces = (self.degree,) + tuple(-c for c in q[1:])
+            self._traces = _ramanujan_sums(self.n)
         return Fraction(sum(t * c for t, c in zip(self._traces, a.num)), a.den)
 
     def from_zeta_powers(self, coeffs, den: int) -> "CycloElem":

@@ -360,11 +360,16 @@ def series_inv(f: Sequence) -> list:
     return out
 
 
-def newton_exp(g: Sequence) -> list:
+def newton_exp(g: Sequence, integral: bool = False) -> list:
     """e_0 = 1, e_1, ..., e_K from g = [g_1, ..., g_K] by the exp-type Newton
     loop k e_k = sum_{j <= k} g_j e_(k-j): e_k = [t^k] exp(f) when g_j =
     j [t^j] f, and e_k is the k-th elementary symmetric value when g_j =
-    (-1)^(j-1) p_j are signed power sums.  Zero g_j are dropped once."""
+    (-1)^(j-1) p_j are signed power sums.  Zero g_j are dropped once.
+
+    With ``integral`` the g_j are ints and every e_k is known to be an int,
+    as for the power sums of algebraic integers whose elementary symmetric
+    values are integers: each division by k is checked exact
+    (InexactDivision otherwise) and the e_k stay ints."""
     terms = [(j, c) for j, c in enumerate(g, 1) if not _is_zero(c)]
     e = [1]
     for k in range(1, len(g) + 1):
@@ -373,7 +378,13 @@ def newton_exp(g: Sequence) -> list:
             if j > k:
                 break
             acc = acc + c * e[k - j]
-        e.append(Fraction(acc, k) if isinstance(acc, int) else acc / k)
+        if integral:
+            quo, rem = divmod(acc, k)
+            if rem:
+                raise InexactDivision(f"e_{k} = {acc}/{k} is not an integer")
+            e.append(quo)
+        else:
+            e.append(Fraction(acc, k) if isinstance(acc, int) else acc / k)
     return e
 
 

@@ -100,12 +100,19 @@ def parse_qpoint(text: str) -> QPoint:
     rational such as ``2/3``."""
     if text == "symbolic":
         return SymbolicQ()
-    try:
-        if text.startswith("root:"):
+    if text.startswith("root:"):
+        try:
             return RootOfUnityQ(int(text[len("root:"):]))
+        except ValueError as exc:
+            raise BadParams(f"bad q point {text!r}: {exc}") from exc
+    try:
         return RationalQ(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BadParams(f"bad q point {text!r}: {exc}") from exc
+    except ZeroDivisionError:
+        raise BadParams(f"bad q point {text!r}: the denominator is zero") from None
+    except ValueError:
+        raise BadParams(
+            f"bad q point {text!r}: not symbolic, root:<n> or a rational such as 2/3"
+        ) from None
 
 
 def qnum(i: int, q: QPoint):

@@ -127,7 +127,11 @@ def elem_from_power_sums(g: Sequence, big_k: int):
         return Fraction(1)
     if len(g) < big_k:
         raise InsufficientInput(f"need {big_k} power sums, got {len(g)}")
-    return bell_complete(big_k, _newton_bell_args(g, big_k)) / math.factorial(big_k)
+    # Y_K is graded: with the ints G_j = g_j D^j of ``_graded``, the Bell
+    # arguments (-1)^(j-1) (j-1)! G_j are ints too, and Y_K of them is D^K
+    # times Y_K of the (-1)^(j-1) (j-1)! g_j
+    graded, d = _graded(g[:big_k])
+    return bell_complete(big_k, _newton_bell_args(graded, big_k)) / (d**big_k * math.factorial(big_k))
 
 
 def _newton_bell_args(a: Sequence, m: int):

@@ -16,17 +16,24 @@ return the same rational:
                            total is rationalized in Q(zeta_n);
 * ``zeta_product``      -- coefficients of prod_j (1 + X/(1-zeta^j)^s), the
                            production route.  The full row m = 0..n-1 is
-                           memoized per (n, s) and comes from one of two
-                           engines, whichever has the smaller cost estimate
-                           (``_multisection_is_cheaper``):
-                           multisection of E(t) = ((1+t)^n - 1)/(nt) over
-                           the s-th roots of unity, in Q(zeta_s), about
-                           n (s+1) 2^s / 4 steps of degree phi(s); or the
-                           product itself in Q(zeta_n), about n^2/2
-                           multiplications of degree phi(n).  Small s takes
-                           the first (``table zeta --n 1001 --s 2`` in a
-                           fraction of a second), large s the second;
-* ``zeta_via_stirling`` -- first-kind generalized q-Stirling identity;
+                           memoized per (n, s) and comes from one of three
+                           engines, whichever has the least cost estimate
+                           (``_row_costs``): multisection of
+                           E(t) = ((1+t)^n - 1)/(nt) over the s-th roots of
+                           unity, in Q(zeta_s), about n (s+1) 2^s / 4 steps
+                           of degree phi(s); Newton's identities on the
+                           integers e_i(v) = n^(i-1) C(n, i+1) of
+                           v_j = n/(1 - zeta^j), about n s (n-1) integer
+                           steps and no field; or the product itself in
+                           Q(zeta_n), about n^2/2 multiplications of degree
+                           phi(n).  Small s at large n takes the first
+                           (``table zeta --n 1001 --s 2`` in a fraction of a
+                           second), the rows between the second, and s much
+                           larger than n the third, where Newton's cost
+                           grows as s^2;
+* ``zeta_via_stirling`` -- first-kind generalized q-Stirling identity, its
+                           denominator's power of (1 - zeta) the binomial
+                           expansion that brute shares;
 * ``zeta_bell``         -- complete Bell polynomial in single-index values;
 * ``zeta_det``          -- Toeplitz-Hessenberg determinant in single-index
                            values (and ``zeta_row_from_column`` inverts it),
@@ -47,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
-from .cyclo import as_rational, cyclo_ctx
+from .cyclo import as_rational, cyclo_ctx, totient
 from .exactnum import (
     UniPoly,
     kronecker_pack,
@@ -182,48 +189,77 @@ def _multisection_row(n: int, s: int):
     )
 
 
-def _totient(n: int) -> int:
-    """Euler's phi(n) by trial division: the degree of Q(zeta_n)."""
-    result, rest, p = n, n, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            result -= result // p
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        result -= result // rest
-    return result
+@lru_cache(maxsize=None)
+def _newton_row(n: int, s: int):
+    """Z_n(zeta_n; m, s) for m = 0..n-1 by Newton's identities on integers.
 
-
-def _multisection_is_cheaper(n: int, s: int) -> bool:
-    """Whether ``_multisection_row`` is estimated to beat ``_product_row_field``
-    on the row (n, s).
-
-    The estimates, in microseconds, were fitted to cold rows timed on a
-    2-core Xeon VM with Python 3.11.7:
-
-    * field product: n^2 (110 + phi(n)^2) / 15, about n^2/2 products of
-      degree phi(n);
-    * multisection: n (2^s (s+1) (28 + phi(s)^2) + 375) / 25, about
-      n (s+1) 2^s / 4 recurrence steps of degree phi(s) plus a fixed cost
-      per entry.
-
-    Both need only n, s, phi(n) and phi(s): no subset is enumerated, and
-    2^s is formed only when s is below the bit length of the field estimate.
+    The v_j = n/(1 - zeta_n^j), j = 1..n-1, are algebraic integers with
+    prod_j (1 + t v_j) = E(nt) = ((1 + nt)^n - 1)/(n^2 t), so their
+    elementary symmetric values are e_i(v) = n^(i-1) C(n, i+1).  One
+    ``newton_log`` pass over f_i = (-1)^i e_i(v) gives q_k = -p_k(v) for
+    k <= K = s(n-1); then E_m = e_m(v^s) comes from the power sums
+    p_i(v^s) = p_(is)(v) by the exp-side loop, whose divisions are exact,
+    and Z(m, s) = E_m / n^(sm).  No field is built.
     """
-    field = 5 * n * (110 + _totient(n) ** 2)
-    if s >= field.bit_length():
-        return False
-    multisection = 3 * (2 ** s * (s + 1) * (28 + _totient(s) ** 2) + 375)
-    return multisection < field
+    big_k = s * (n - 1)
+    top = min(n - 1, big_k)
+    f = [(-1) ** i * n ** (i - 1) * math.comb(n, i + 1) for i in range(1, top + 1)]
+    q = newton_log(f + [0] * (big_k - top))
+    # g_i = (-1)^(i-1) p_(is)(v) = (-1)^i q_(is)
+    e = newton_exp([q[i * s] if i % 2 == 0 else -q[i * s] for i in range(1, n)], integral=True)
+    return tuple(Fraction(c, n ** (s * m)) for m, c in enumerate(e))
+
+
+def _row_costs(n: int, s: int) -> dict:
+    """Estimated microseconds of each row engine on the cold row (n, s).
+
+    The estimates were fitted to cold rows timed in pairs on a 2-core Xeon
+    VM with Python 3.11.7; with K = s(n - 1) they are
+
+    * ``field``, ``_field_row``: 35 + n^2 (9.4 + phi(n)^2/52) +
+      n^2 phi(n)^1.67 (sn)^1.23 / 30000, about n^2/2 products of degree
+      phi(n) whose coordinates grow with s n;
+    * ``newton``, ``_newton_row``: 12 + n K (0.17 + K log2(n) (n + 2.5)/256000),
+      about n K integer steps on power sums of up to K log2(n^2) bits;
+    * ``multisection``, ``_multisection_row``:
+      n (2^s (s+1) (17 + phi(s)^2) + 198) / 27.2, about n (s+1) 2^s / 4
+      recurrence steps of degree phi(s) plus a fixed cost per entry.
+
+    All need only n, s, phi(n) and phi(s): no subset is enumerated, and 2^s
+    is formed only when s is below the bit length of the other two.  Past
+    the float range only the field product is estimated, at infinity.
+    """
+    phi = totient(n)
+    big_k = s * (n - 1)
+    try:
+        costs = {
+            "field": 35 + n * n * (9.4 + phi * phi / 52 + phi ** 1.67 * (s * n) ** 1.23 / 30000),
+            "newton": 12 + n * big_k * (0.17 + big_k * math.log2(n) * (n + 2.5) / 256000),
+        }
+    except OverflowError:
+        # s n past the float range, where only the field product's slower
+        # growth in s can compete
+        return {"field": math.inf}
+    if s < int(min(costs.values())).bit_length():
+        costs["multisection"] = n * (2 ** s * (s + 1) * (17 + totient(s) ** 2) + 198) / 27.2
+    return costs
+
+
+def _row_engine(n: int, s: int) -> str:
+    """The row engine with the least estimate in ``_row_costs``."""
+    costs = _row_costs(n, s)
+    return min(costs, key=costs.get)
 
 
 @lru_cache(maxsize=None)
 def _product_row(n: int, s: int):
-    """Rationalized full row Z_n(zeta_n; m, s) for m = 0..n-1."""
-    if _multisection_is_cheaper(n, s):
+    """Rationalized full row Z_n(zeta_n; m, s) for m = 0..n-1, from the
+    engine that ``_row_engine`` picks."""
+    engine = _row_engine(n, s)
+    if engine == "multisection":
         return _multisection_row(n, s)
+    if engine == "newton":
+        return _newton_row(n, s)
     return _field_row(n, s)
 
 
@@ -248,7 +284,9 @@ def zeta_product(n: int, s: int, m_max: int):
 
 
 def _one_minus_power_cyclic(n: int, i: int, s: int) -> list:
-    """(1 - x^i)^s in Z[x]/(x^n - 1), as its n coefficients."""
+    """(1 - x^i)^s in Z[x]/(x^n - 1), as its n coefficients: the binomial
+    expansion, for the brute oracle's complementary rows and the power of
+    (1 - zeta) in the Stirling route's denominator."""
     out = [0] * n
     for k in range(s + 1):
         out[i * k % n] += (-1) ** k * math.comb(s, k)
@@ -324,11 +362,13 @@ def zeta_via_stirling(n: int, m: int, s: int) -> ZetaValue:
     the entry divided by (1-q)^(sm) ([n-1]_q!)^s at q = zeta_n."""
     _validate(n, m, s)
     qpt = RootOfUnityQ(n)
-    ctx = qpt.ctx
     entry = stirling1(n, m + 1, r=1, s=s, q=qpt)
     # prod_{j<n} (1 - zeta^j) = n gives [n-1]_q! = n / (1-zeta)^(n-1), so the
-    # divisor is n^s (1-zeta)^(s(m-n+1))
-    val = as_rational(entry * (ctx.one() - ctx.zeta()) ** (s * (n - 1 - m))) / n ** s
+    # divisor is n^s (1-zeta)^(s(m-n+1)); (1-zeta)^k is its binomial
+    # expansion, and for m >= n the entry vanishes, so any factor will do
+    k = max(s * (n - 1 - m), 0)
+    scale = qpt.ctx.from_zeta_powers(_one_minus_power_cyclic(n, 1, k), 1)
+    val = as_rational(entry * scale) / n ** s
     return ZetaValue(val, "stirling", (n, m, s))
 
 

@@ -1,0 +1,80 @@
+"""The seams of the product-row selector, and a check that the engines on
+either side of each one agree.
+
+``zeta._row_engine(n, s)`` picks the multisection, the integer Newton engine
+or the Q(zeta_n) product for the row (n, s) from cost estimates.  A seam is
+an s whose choice differs from the choice at s - 1.  At each seam s, and at
+s - 1 and s + 1, both engines of the seam must give the same row, entry for
+entry and exactly.  ``tests/test_zeta.py`` runs the seams that are cheap to
+check; the full set up to n = 60 takes minutes, so it is a CI step of its
+own:
+
+    PYTHONPATH=src python tests/engine_seams.py --n-max 60
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+from qmzv import zeta
+
+ENGINES = {
+    "multisection": zeta._multisection_row,
+    "newton": zeta._newton_row,
+    "field": zeta._field_row,
+}
+
+
+def seams(n: int) -> list:
+    """The seams of row n as (s, engine below s, engine from s on).  The
+    field product, which the estimates favour for every large enough s, is
+    the last engine; the scan ends where it is chosen."""
+    found = []
+    before = zeta._row_engine(n, 1)
+    s = 1
+    while before != "field":
+        s += 1
+        after = zeta._row_engine(n, s)
+        if after != before:
+            found.append((s, before, after))
+            before = after
+    return found
+
+
+def seam_cost(n: int, seam) -> float:
+    """The estimated microseconds of the six rows that check one seam."""
+    s, below, above = seam
+    return sum(zeta._row_costs(n, t)[e] for t in (s - 1, s, s + 1) for e in (below, above))
+
+
+def mismatches(n_max: int, max_cost: float = float("inf")) -> list:
+    """(n, s, engine, engine) for every row of a seam with n <= n_max where
+    the two engines differ, checking only the seams whose ``seam_cost`` is
+    at most ``max_cost``."""
+    bad = []
+    for n in range(2, n_max + 1):
+        for seam in seams(n):
+            if seam_cost(n, seam) > max_cost:
+                continue
+            s, below, above = seam
+            for t in (s - 1, s, s + 1):
+                if ENGINES[below](n, t) != ENGINES[above](n, t):
+                    bad.append((n, t, below, above))
+    return bad
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--n-max", type=int, default=60)
+    args = parser.parse_args(argv)
+    bad = mismatches(args.n_max)
+    for n, s, below, above in bad:
+        print(f"n={n} s={s}: {below} and {above} differ")
+    count = sum(len(seams(n)) for n in range(2, args.n_max + 1))
+    print(f"{count} seams for n <= {args.n_max}: {len(bad)} rows differ")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -109,6 +109,11 @@ def _groups() -> dict:
         _args("verify", "routes", "--n-max", 0),
         _args("verify", "routes", "--n-max", 3, "--budget", -5),
     ]
+    groups["refused-q-point"] = [
+        _args("table", "stirling2", "--q", "1/0", "--n-max", 3),
+        _args("table", "stirling1", "--q", "abc", "--n-max", 3),
+        _args("table", "stirling1", "--q", "1/2/3", "--n-max", 3, "--format", "json"),
+    ]
     groups["refused-exit-2"] = [
         _args("value", "--n", 30, "--m", 14, "--s", 1, "--method", "brute", "--budget", 10),
         _args("value", "--n", 40, "--m", 10, "--s", 1, "--method", "brute", "--format", "json"),

@@ -290,6 +290,16 @@ def test_large_s_rows_use_the_field_product_unchanged(capsys, monkeypatch):
     for argv, want in LARGE_S_OUTPUTS.items():
         assert run_cli(capsys, *argv) == (0, want, ""), argv
 
+    # (10, 40) above now comes from the Newton engine; a row with s >> n
+    # still runs on the field product, with neither other engine reachable
+    def no_newton(n, s):
+        raise AssertionError(f"ran the Newton engine on ({n}, {s})")
+
+    monkeypatch.setattr(zeta, "_newton_row", no_newton)
+    code, out, err = run_cli(capsys, "table", "zeta", "--n", "10", "--s", "1000")
+    assert code == 0 and err == "" and len(out.splitlines()) == 11
+    assert out.splitlines()[-1] == f"9  1/{10 ** 1000}"
+
 
 # ---------------------------------------------------------------- verify
 

@@ -11,8 +11,9 @@ from qmzv.cyclo import (
     cyclo_ctx,
     cyclotomic_poly,
     product_one_minus_powers,
+    totient,
 )
-from qmzv.exactnum import UniPoly, poly_divmod
+from qmzv.exactnum import UniPoly, newton_log, poly_divmod
 
 F = Fraction
 
@@ -52,7 +53,7 @@ def test_cyclotomic_degree_is_totient():
 
     for n in range(1, 41):
         phi = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-        assert cyclotomic_poly(n).degree() == phi
+        assert cyclotomic_poly(n).degree() == phi == totient(n)
 
 
 def test_inverse_known_values():
@@ -429,3 +430,13 @@ def test_trace_is_the_sum_of_the_galois_conjugates():
             assert ctx.trace(a) == as_rational(conjugates), n
     with pytest.raises(ContextMismatch):
         cyclo_ctx(5).trace(cyclo_ctx(7).zeta())
+
+
+def test_trace_table_matches_the_power_sums_of_the_roots():
+    # oracle: Tr(zeta^j) = p_j of the roots of Phi_n = -q_j of newton_log on
+    # the coefficients of Phi_n from the top, the table's former construction
+    for n in range(1, 301):
+        ctx = cyclo_ctx(n)
+        q = newton_log(list(ctx.phi_poly.coeffs[-2:0:-1]))
+        want = [ctx.degree] + [-c for c in q[1:]]
+        assert [ctx.trace(ctx.zeta_power(j)) for j in range(ctx.degree)] == want, n

@@ -373,6 +373,17 @@ def test_series_log_exp_mutually_inverse():
         assert len(e) == n and _log(e) == g
 
 
+def test_integral_newton_exp_keeps_ints_and_checks_each_division():
+    # the power sums 2^k + 3^k of the roots 2, 3 give e = (1, 5, 6, 0, 0) as ints
+    p = [2**k + 3**k for k in range(1, 5)]
+    e = newton_exp([pk if k % 2 else -pk for k, pk in enumerate(p, 1)], integral=True)
+    assert e == [1, 5, 6, 0, 0] and all(type(c) is int for c in e)
+    assert e == newton_exp([pk if k % 2 else -pk for k, pk in enumerate(p, 1)])
+    # p_1 = 1 and p_2 = 2 give 2 e_2 = p_1^2 - p_2 = -1, which 2 does not divide
+    with pytest.raises(InexactDivision):
+        newton_exp([1, -2], integral=True)
+
+
 def test_series_log_of_product():
     rng = random.Random(37)
     for _ in range(15):

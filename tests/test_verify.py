@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qmzv import cli, verify
 from qmzv.util import CheckResult
 
@@ -71,6 +73,61 @@ def test_routes_compare_the_multisection_only_where_it_is_bounded(monkeypatch):
     case = ("routes n=2 m=1 s=18", "routes", {"n": 2, "m": 1, "s": 18, "budget": 0})
     result = verify.run_case(case)
     assert result.passed and "multisection" not in result.routes
+
+
+def test_routes_compare_the_newton_engine_only_where_it_is_bounded(monkeypatch):
+    assert "newton" in verify.CASES["routes"](n=5, m=2, s=3, budget=0).routes
+
+    def no_newton(n, s):
+        raise AssertionError(f"ran the Newton engine on ({n}, {s})")
+
+    monkeypatch.setattr(verify.zeta, "_newton_row", no_newton)
+    # s > 6 on the field product: the Newton engine stays out
+    result = verify.CASES["routes"](n=2, m=1, s=200, budget=0)
+    assert result.passed and "newton" not in result.routes
+
+
+@pytest.fixture
+def newton_fault(monkeypatch):
+    """Plant a fault in one Newton row: ``plant(n, s, m)`` makes entry m of
+    the row (n, s) wrong by one.  The memo of ``_product_row`` is emptied
+    before and after, so the row reaches every route that reads it and no
+    wrong row outlives the test."""
+
+    def plant(n, s, m):
+        real = verify.zeta._newton_row
+
+        def faulty(nn, ss):
+            row = real(nn, ss)
+            if (nn, ss) == (n, s):
+                row = row[:m] + (row[m] + 1,) + row[m + 1 :]
+            return row
+
+        monkeypatch.setattr(verify.zeta, "_newton_row", faulty)
+
+    verify.zeta._product_row.cache_clear()
+    yield plant
+    verify.zeta._product_row.cache_clear()
+
+
+def test_a_planted_newton_fault_fails_verify_routes(capsys, newton_fault):
+    newton_fault(9, 2, 3)
+    argv = ["verify", "routes", "--n-max", "10", "--m-max", "4", "--s-max", "3", "--budget", "0"]
+    code = cli.main(argv + ["--format", "json"])
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert code == 4
+    assert all(" n=9 " in f["case"] and f["case"].endswith(" s=2") for f in failures)
+    routes = [f for f in failures if f["case"] == "routes n=9 m=3 s=2"]
+    assert routes and routes[0]["actual"].startswith("newton=")
+
+
+def test_a_planted_newton_fault_fails_criterion_7(newton_fault):
+    # the grid of test_acceptance::test_criterion_07_determinant_and_bell_routes
+    newton_fault(13, 3, 8)
+    cases = verify.suite_cases("routes", n_max=14, m_max=8, s_max=3, budget=0)
+    failed = [case[0] for case in cases if not verify.run_case(case).passed]
+    assert "routes n=13 m=8 s=3" in failed
+    assert all(label.endswith(" n=13 m=8 s=3") for label in failed)
 
 
 def test_single_index_reference_is_labelled_as_such(capsys, monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from engine_seams import mismatches
 
 from qmzv.cyclo import as_rational, cyclo_ctx
 from qmzv.exactnum import UniPoly, tuple_product_sum
@@ -14,9 +15,11 @@ from qmzv.zeta import (
     ZetaValue,
     _field_row,
     _inv_pows,
-    _multisection_is_cheaper,
     _multisection_row,
+    _newton_row,
+    _one_minus_power_cyclic,
     _reciprocal_tuple_sums,
+    _row_engine,
     _zeta_multi,
     _zeta_single,
     f_poly,
@@ -154,15 +157,49 @@ def test_multisection_large_rows_match_closed_forms():
 
 
 def test_selector_picks_multisection_for_small_s_only():
-    for n in range(17, 41):
+    for n in (60, 401, 1001, 20011):
         for s in (1, 2, 3):
-            assert _multisection_is_cheaper(n, s), (n, s)
-    assert not _multisection_is_cheaper(14, 8)
-    assert not _multisection_is_cheaper(10, 40)
-    assert not _multisection_is_cheaper(10, 10 ** 6)
+            assert _row_engine(n, s) == "multisection", (n, s)
+    assert _row_engine(14, 8) != "multisection"
+    assert _row_engine(10, 40) != "multisection"
+    assert _row_engine(10, 10 ** 6) != "multisection"
+
+
+def test_selector_picks_newton_between_and_the_field_product_for_large_s():
+    for n, s in ((61, 10), (53, 20), (61, 40), (41, 16), (30, 3), (23, 1), (14, 8), (10, 40)):
+        assert _row_engine(n, s) == "newton", (n, s)
+    for n, s in ((10, 1000), (10, 4000), (13, 2000), (31, 300), (2, 20000), (10, 10 ** 6), (5, 10 ** 400)):
+        assert _row_engine(n, s) == "field", (n, s)
+
+
+def test_newton_row_matches_field_row():
+    for n in range(1, 31):
+        for s in range(1, 9):
+            assert _newton_row(n, s) == _field_row(n, s), (n, s)
+
+
+def test_newton_large_rows_match_closed_forms():
+    row = _newton_row(101, 2)
+    assert all(row[m] == zeta_m2_closed(101, m) for m in range(1, 101))
+    row = _newton_row(61, 3)
+    assert all(row[m] == zeta_m3_closed(61, m) for m in range(1, 61))
+
+
+def test_engines_agree_at_the_cheaper_selector_seams():
+    # every seam with n <= 60 whose six rows are estimated at 0.2 s or less;
+    # `python tests/engine_seams.py --n-max 60` (a CI step) checks them all
+    assert mismatches(60, max_cost=2e5) == []
 
 
 # ------------------------------------------------------------ other routes
+
+
+def test_one_minus_zeta_powers_by_the_binomial_expansion():
+    for n in range(2, 31):
+        ctx = cyclo_ctx(n)
+        base = ctx.one() - ctx.zeta()
+        for k in range(61):
+            assert ctx.from_zeta_powers(_one_minus_power_cyclic(n, 1, k), 1) == base ** k, (n, k)
 
 
 def test_via_stirling_examples():
