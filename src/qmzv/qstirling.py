@@ -102,9 +102,12 @@ def parse_qpoint(text: str) -> QPoint:
         return SymbolicQ()
     if text.startswith("root:"):
         try:
-            return RootOfUnityQ(int(text[len("root:"):]))
-        except ValueError as exc:
-            raise BadParams(f"bad q point {text!r}: {exc}") from exc
+            order = int(text[len("root:"):])
+        except ValueError:
+            order = 0
+        if order < 1:
+            raise BadParams(f"bad q point {text!r}: the order must be an integer >= 1")
+        return RootOfUnityQ(order)
     try:
         return RationalQ(Fraction(text))
     except ZeroDivisionError:

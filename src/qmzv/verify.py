@@ -42,17 +42,17 @@ def _case_routes(n, m, s, budget):
     # the Q(zeta_n) product is the reference; the multisection, whose cost
     # doubles with s, and the Newton engine, whose cost grows as s^2,
     # each join when s <= 6 or when ``_product_row`` picks them
-    reference = zeta._row_entry(zeta._field_row(n, s), m)
+    engines = zeta.ROW_ENGINES
+    reference = zeta._zeta_multi(n, m, s, engines["field"])
     values = {
         "stirling": zeta.zeta_via_stirling(n, m, s).value,
         "bell": zeta.zeta_bell(n, m, s).value,
         "det": zeta.zeta_det(n, m, s).value,
     }
     picked = zeta._row_engine(n, s)
-    if s <= 6 or picked == "multisection":
-        values["multisection"] = zeta._row_entry(zeta._multisection_row(n, s), m)
-    if s <= 6 or picked == "newton":
-        values["newton"] = zeta._row_entry(zeta._newton_row(n, s), m)
+    for name in ("multisection", "newton"):
+        if s <= 6 or picked == name:
+            values[name] = zeta._zeta_multi(n, m, s, engines[name])
     if _brute_fits(n, m, budget):
         values["brute"] = zeta.zeta_brute(n, m, s, budget=budget).value
     bad = {k: v for k, v in values.items() if v != reference}

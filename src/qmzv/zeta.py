@@ -15,18 +15,21 @@ return the same rational:
                            by prod_(i=1..n-1) (1 - zeta^i) = n, and the one
                            total is rationalized in Q(zeta_n);
 * ``zeta_product``      -- coefficients of prod_j (1 + X/(1-zeta^j)^s), the
-                           production route.  The full row m = 0..n-1 is
-                           memoized per (n, s) and comes from one of three
-                           engines, whichever has the least cost estimate
-                           (``_row_costs``): multisection of
-                           E(t) = ((1+t)^n - 1)/(nt) over the s-th roots of
-                           unity, in Q(zeta_s), about n (s+1) 2^s / 4 steps
-                           of degree phi(s); Newton's identities on the
-                           integers e_i(v) = n^(i-1) C(n, i+1) of
-                           v_j = n/(1 - zeta^j), about n s (n-1) integer
-                           steps and no field; or the product itself in
-                           Q(zeta_n), about n^2/2 multiplications of degree
-                           phi(n).  Small s at large n takes the first
+                           production route.  Each row (n, s) is a growing
+                           prefix m = 0..top in one memo (``seqlib._prefix``)
+                           that is extended only when a larger m is read.
+                           It comes from one of three engines, whichever has
+                           the least full-row cost estimate (``_row_costs``),
+                           and each computes only the entries up to top:
+                           multisection of E(t) = ((1+t)^n - 1)/(nt) over
+                           the s-th roots of unity, in Q(zeta_s), about
+                           n (s+1) 2^s / 4 steps of degree phi(s) for a full
+                           row; Newton's identities on the integers
+                           e_i(v) = n^(i-1) C(n, i+1) of v_j = n/(1 - zeta^j),
+                           about n s (n-1) integer steps and no field; or the
+                           product itself in Q(zeta_n), about n^2/2
+                           multiplications of degree phi(n), always the whole
+                           row.  Small s at large n takes the first
                            (``table zeta --n 1001 --s 2`` in a fraction of a
                            second), the rows between the second, and s much
                            larger than n the third, where Newton's cost
@@ -75,6 +78,7 @@ from .qstirling import (
     stirling1,
 )
 from .seqlib import (
+    _prefix,
     degen_bernoulli_series,
     elem_from_power_sums,
     seq_transform_forward,
@@ -132,15 +136,10 @@ def _zeta_single(n: int, s: int) -> Fraction:
     return sum(ctx.trace(ctx.inv_one_minus_power(1) ** s) for ctx in ctxs)
 
 
-def _product_row_field(n: int, s: int):
-    """All X-coefficients of prod_j (1 + X/(1-zeta^j)^s) in Q(zeta_n)."""
-    return subset_product_sums(_inv_pows(n, s), cyclo_ctx(n).one())
-
-
-@lru_cache(maxsize=None)
-def _field_row(n: int, s: int):
-    """``_product_row_field`` rationalized: Z_n(zeta_n; m, s), m = 0..n-1."""
-    return tuple(as_rational(c) for c in _product_row_field(n, s))
+def _field_row(top: int, n: int, s: int):
+    """Z_n(zeta_n; m, s) for m = 0..n-1, whatever ``top``: all X-coefficients
+    of prod_j (1 + X/(1-zeta^j)^s) in Q(zeta_n), rationalized."""
+    return tuple(as_rational(c) for c in subset_product_sums(_inv_pows(n, s), cyclo_ctx(n).one()))
 
 
 def _rotation_orbits(s: int):
@@ -159,9 +158,8 @@ def _rotation_orbits(s: int):
     return tuple(reps)
 
 
-@lru_cache(maxsize=None)
-def _multisection_row(n: int, s: int):
-    """Z_n(zeta_n; m, s) for m = 0..n-1 by multisection over Q(zeta_s).
+def _multisection_row(top: int, n: int, s: int):
+    """Z_n(zeta_n; m, s) for m = 0..min(top, n-1) by multisection over Q(zeta_s).
 
     With w_j = 1/(1 - zeta_n^j), prod_j (1 + t w_j) = E(t) = ((1+t)^n - 1)/(nt),
     and with omega = zeta_s, prod_r E(omega^r xi) = prod_j (1 - (-xi w_j)^s).
@@ -172,16 +170,17 @@ def _multisection_row(n: int, s: int):
 
     g_S = prod_{r in S} (1 + omega^r xi).  Rotating S multiplies the
     coefficient of xi^k by omega^k, which is 1 at k = s(m+1), so one S per
-    rotation orbit stands for the whole orbit.
+    rotation orbit stands for the whole orbit.  Entry m reads g_S^n up to
+    xi^(s(m+1)), and g_S^n has degree n |S|.
     """
     ctx = cyclo_ctx(s)
-    total = [ctx.zero()] * n
+    top = min(top, n - 1)
+    total = [ctx.zero()] * (top + 1)
     for subset, size in _rotation_orbits(s):
         g = subset_product_sums([ctx.zeta_power(r) for r in subset], ctx.one())
-        top = n * len(subset)
-        powers = ctx.poly_power(g, n, top)
+        powers = ctx.poly_power(g, n, min(n * len(subset), s * (top + 1)))
         weight = (-1) ** (s - len(subset)) * size
-        for m in range(min(n, top // s)):
+        for m in range((len(powers) - 1) // s):
             total[m] = total[m] + weight * powers[s * (m + 1)]
     den = n ** s
     return tuple(
@@ -189,24 +188,24 @@ def _multisection_row(n: int, s: int):
     )
 
 
-@lru_cache(maxsize=None)
-def _newton_row(n: int, s: int):
-    """Z_n(zeta_n; m, s) for m = 0..n-1 by Newton's identities on integers.
+def _newton_row(top: int, n: int, s: int):
+    """Z_n(zeta_n; m, s) for m = 0..min(top, n-1) by Newton's identities on
+    integers.
 
     The v_j = n/(1 - zeta_n^j), j = 1..n-1, are algebraic integers with
     prod_j (1 + t v_j) = E(nt) = ((1 + nt)^n - 1)/(n^2 t), so their
     elementary symmetric values are e_i(v) = n^(i-1) C(n, i+1).  One
-    ``newton_log`` pass over f_i = (-1)^i e_i(v) gives q_k = -p_k(v) for
-    k <= K = s(n-1); then E_m = e_m(v^s) comes from the power sums
-    p_i(v^s) = p_(is)(v) by the exp-side loop, whose divisions are exact,
-    and Z(m, s) = E_m / n^(sm).  No field is built.
+    ``newton_log`` pass over f_i = (-1)^i e_i(v), i <= min(n-1, K), gives
+    q_k = -p_k(v) for k <= K = s top; then E_m = e_m(v^s) comes from the
+    power sums p_i(v^s) = p_(is)(v) by the exp-side loop, whose divisions
+    are exact, and Z(m, s) = E_m / n^(sm).  No field is built.
     """
-    big_k = s * (n - 1)
-    top = min(n - 1, big_k)
-    f = [(-1) ** i * n ** (i - 1) * math.comb(n, i + 1) for i in range(1, top + 1)]
-    q = newton_log(f + [0] * (big_k - top))
+    top = min(top, n - 1)
+    big_k = s * top
+    f = [(-1) ** i * n ** (i - 1) * math.comb(n, i + 1) for i in range(1, min(n - 1, big_k) + 1)]
+    q = newton_log(f + [0] * (big_k - len(f)))
     # g_i = (-1)^(i-1) p_(is)(v) = (-1)^i q_(is)
-    e = newton_exp([q[i * s] if i % 2 == 0 else -q[i * s] for i in range(1, n)], integral=True)
+    e = newton_exp([q[i * s] if i % 2 == 0 else -q[i * s] for i in range(1, top + 1)], integral=True)
     return tuple(Fraction(c, n ** (s * m)) for m, c in enumerate(e))
 
 
@@ -251,32 +250,30 @@ def _row_engine(n: int, s: int) -> str:
     return min(costs, key=costs.get)
 
 
-@lru_cache(maxsize=None)
-def _product_row(n: int, s: int):
-    """Rationalized full row Z_n(zeta_n; m, s) for m = 0..n-1, from the
-    engine that ``_row_engine`` picks."""
-    engine = _row_engine(n, s)
-    if engine == "multisection":
-        return _multisection_row(n, s)
-    if engine == "newton":
-        return _newton_row(n, s)
-    return _field_row(n, s)
+#: Row engine name -> builder ``(top, n, s)`` of Z_n(zeta_n; m, s) for
+#: m = 0..min(top, n-1); the field product builds the whole row whatever top.
+ROW_ENGINES = {"multisection": _multisection_row, "newton": _newton_row, "field": _field_row}
 
 
-def _row_entry(row, m: int) -> Fraction:
-    """Entry m of a value row; zero above the top row."""
-    return row[m] if m < len(row) else Fraction(0)
+def _product_row(top: int, n: int, s: int):
+    """The row (n, s) up to entry top from the engine ``_row_engine`` picks."""
+    return ROW_ENGINES[_row_engine(n, s)](top, n, s)
 
 
-def _zeta_multi(n: int, m: int, s: int) -> Fraction:
-    return _row_entry(_product_row(n, s), m)
+def _zeta_multi(n: int, m: int, s: int, build=_product_row) -> Fraction:
+    """Z_n(zeta_n; m, s) from the growing prefix (``seqlib._prefix``) of the
+    row (n, s) that ``build`` gives, the production row by default; zero
+    above the top row."""
+    return _prefix(m, build, n, s)[m] if m < n else Fraction(0)
 
 
 def zeta_product(n: int, s: int, m_max: int):
-    """Values Z_n(zeta_n; m, s) for m = 0..m_max via the generating product."""
+    """Values Z_n(zeta_n; m, s) for m = 0..m_max via the generating product,
+    from one prefix of the row built to m_max."""
     _validate(n, 0, s)
     if m_max < 0:
         raise BadParams("need m_max >= 0")
+    _prefix(min(m_max, n - 1), _product_row, n, s)
     return [
         ZetaValue(_zeta_multi(n, m, s), "product", (n, m, s))
         for m in range(m_max + 1)
@@ -629,7 +626,7 @@ def logf_identity_check(s: int, trunc: int = 12) -> CheckResult:
         shifted.append(UniPoly(u.coeffs[1:]))
     result.record(shifted[0].is_zero(), kind="y0-vanishes", actual=repr(shifted[0]))
     for n in range(1, trunc + 1):
-        row = _product_row(n, s)
+        row = _prefix(n - 1, _product_row, n, s)
         u = shifted[n]
         scale = Fraction(n ** (s - 1))
         deg = u.degree()

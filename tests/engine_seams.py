@@ -19,13 +19,6 @@ import sys
 
 from qmzv import zeta
 
-ENGINES = {
-    "multisection": zeta._multisection_row,
-    "newton": zeta._newton_row,
-    "field": zeta._field_row,
-}
-
-
 def seams(n: int) -> list:
     """The seams of row n as (s, engine below s, engine from s on).  The
     field product, which the estimates favour for every large enough s, is
@@ -59,7 +52,9 @@ def mismatches(n_max: int, max_cost: float = float("inf")) -> list:
                 continue
             s, below, above = seam
             for t in (s - 1, s, s + 1):
-                if ENGINES[below](n, t) != ENGINES[above](n, t):
+                # the full rows, built afresh rather than read from a memo
+                lower, upper = (zeta.ROW_ENGINES[e](n - 1, n, t) for e in (below, above))
+                if lower != upper:
                     bad.append((n, t, below, above))
     return bad
 

@@ -113,6 +113,7 @@ def _groups() -> dict:
         _args("table", "stirling2", "--q", "1/0", "--n-max", 3),
         _args("table", "stirling1", "--q", "abc", "--n-max", 3),
         _args("table", "stirling1", "--q", "1/2/3", "--n-max", 3, "--format", "json"),
+        _args("table", "stirling1", "--q", "root:0", "--n-max", 3),
     ]
     groups["refused-exit-2"] = [
         _args("value", "--n", 30, "--m", 14, "--s", 1, "--method", "brute", "--budget", 10),

@@ -1,5 +1,6 @@
 import decimal
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -292,10 +293,10 @@ def test_large_s_rows_use_the_field_product_unchanged(capsys, monkeypatch):
 
     # (10, 40) above now comes from the Newton engine; a row with s >> n
     # still runs on the field product, with neither other engine reachable
-    def no_newton(n, s):
+    def no_newton(top, n, s):
         raise AssertionError(f"ran the Newton engine on ({n}, {s})")
 
-    monkeypatch.setattr(zeta, "_newton_row", no_newton)
+    monkeypatch.setitem(zeta.ROW_ENGINES, "newton", no_newton)
     code, out, err = run_cli(capsys, "table", "zeta", "--n", "10", "--s", "1000")
     assert code == 0 and err == "" and len(out.splitlines()) == 11
     assert out.splitlines()[-1] == f"9  1/{10 ** 1000}"
@@ -389,6 +390,35 @@ def test_approx_beyond_float_range_exits_one_with_one_error_line(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out
+
+
+def _value_draws(seed, count):
+    """``count`` seeded ``value`` command lines, alternating between two
+    ranges: n <= 30 with any m <= n + 2, s <= 6 and every method; and n up
+    to 10^6 with m <= 6, s <= 4 on the product and closed routes.  The
+    brute oracle's budget is 20000 tuples, as in ``verify`` sweeps, so a
+    larger draw ends in its refusal, exit 2, rather than in seconds of
+    enumeration."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 2:
+            n = rng.randint(2, 30)
+            m, s = rng.randint(0, n + 2), rng.randint(1, 6)
+            method = rng.choice(cli._METHODS)
+        else:
+            n, m, s = rng.randint(2, 10**6), rng.randint(0, 6), rng.randint(1, 4)
+            method = rng.choice(("product", "closed"))
+        argv = ["value", "--n", str(n), "--m", str(m), "--s", str(s), "--method", method, "--budget", "20000"]
+        argv += ["--format", rng.choice(("text", "json", "csv"))]
+        yield argv + ["--approx"] * (rng.random() < 0.3)
+
+
+def test_value_draws_end_in_a_documented_exit_code(capsys):
+    for argv in _value_draws(2024, 200):
+        code, out, err = run_cli(capsys, *argv)
+        assert code in range(5), argv
+        assert err.count("error:") <= 1 and "Traceback" not in out + err, argv
+        assert (code == 0) == bool(out), argv
 
 
 def test_values_past_the_int_digit_limit_print_exactly(capsys):

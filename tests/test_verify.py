@@ -78,10 +78,10 @@ def test_routes_compare_the_multisection_only_where_it_is_bounded(monkeypatch):
 def test_routes_compare_the_newton_engine_only_where_it_is_bounded(monkeypatch):
     assert "newton" in verify.CASES["routes"](n=5, m=2, s=3, budget=0).routes
 
-    def no_newton(n, s):
+    def no_newton(top, n, s):
         raise AssertionError(f"ran the Newton engine on ({n}, {s})")
 
-    monkeypatch.setattr(verify.zeta, "_newton_row", no_newton)
+    monkeypatch.setitem(verify.zeta.ROW_ENGINES, "newton", no_newton)
     # s > 6 on the field product: the Newton engine stays out
     result = verify.CASES["routes"](n=2, m=1, s=200, budget=0)
     assert result.passed and "newton" not in result.routes
@@ -90,24 +90,24 @@ def test_routes_compare_the_newton_engine_only_where_it_is_bounded(monkeypatch):
 @pytest.fixture
 def newton_fault(monkeypatch):
     """Plant a fault in one Newton row: ``plant(n, s, m)`` makes entry m of
-    the row (n, s) wrong by one.  The memo of ``_product_row`` is emptied
-    before and after, so the row reaches every route that reads it and no
-    wrong row outlives the test."""
+    the row (n, s) wrong by one wherever a prefix holds it.  The row
+    prefixes are emptied before and after, so the row reaches every route
+    that reads it and no wrong row outlives the test."""
 
     def plant(n, s, m):
-        real = verify.zeta._newton_row
+        real = verify.zeta.ROW_ENGINES["newton"]
 
-        def faulty(nn, ss):
-            row = real(nn, ss)
-            if (nn, ss) == (n, s):
+        def faulty(top, nn, ss):
+            row = real(top, nn, ss)
+            if (nn, ss) == (n, s) and m < len(row):
                 row = row[:m] + (row[m] + 1,) + row[m + 1 :]
             return row
 
-        monkeypatch.setattr(verify.zeta, "_newton_row", faulty)
+        monkeypatch.setitem(verify.zeta.ROW_ENGINES, "newton", faulty)
 
-    verify.zeta._product_row.cache_clear()
+    verify.seqlib._slot.cache_clear()
     yield plant
-    verify.zeta._product_row.cache_clear()
+    verify.seqlib._slot.cache_clear()
 
 
 def test_a_planted_newton_fault_fails_verify_routes(capsys, newton_fault):

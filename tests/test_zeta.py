@@ -8,8 +8,10 @@ from engine_seams import mismatches
 from qmzv.cyclo import as_rational, cyclo_ctx
 from qmzv.exactnum import UniPoly, tuple_product_sum
 from qmzv.qstirling import BadParams, rstirling1
+from qmzv.seqlib import _slot, elem_from_power_sums
 from qmzv.zeta import (
     REFERENCE_POLYNOMIALS,
+    ROW_ENGINES,
     BudgetExceeded,
     UnsupportedClosedForm,
     ZetaValue,
@@ -18,6 +20,7 @@ from qmzv.zeta import (
     _multisection_row,
     _newton_row,
     _one_minus_power_cyclic,
+    _product_row,
     _reciprocal_tuple_sums,
     _row_engine,
     _zeta_multi,
@@ -144,14 +147,14 @@ def test_product_beyond_row_is_zero():
 def test_multisection_row_matches_field_row():
     for n in range(1, 25):
         for s in range(1, 7):
-            assert _multisection_row(n, s) == _field_row(n, s), (n, s)
+            assert _multisection_row(n - 1, n, s) == _field_row(n - 1, n, s), (n, s)
 
 
 def test_multisection_large_rows_match_closed_forms():
-    row = _multisection_row(1001, 2)
+    row = _multisection_row(1000, 1001, 2)
     assert len(row) == 1001 and row[0] == 1
     assert all(row[m] == zeta_m2_closed(1001, m) for m in range(1, 1001))
-    row = _multisection_row(401, 3)
+    row = _multisection_row(400, 401, 3)
     assert len(row) == 401 and row[0] == 1
     assert all(row[m] == zeta_m3_closed(401, m) for m in range(1, 61))
 
@@ -175,13 +178,13 @@ def test_selector_picks_newton_between_and_the_field_product_for_large_s():
 def test_newton_row_matches_field_row():
     for n in range(1, 31):
         for s in range(1, 9):
-            assert _newton_row(n, s) == _field_row(n, s), (n, s)
+            assert _newton_row(n - 1, n, s) == _field_row(n - 1, n, s), (n, s)
 
 
 def test_newton_large_rows_match_closed_forms():
-    row = _newton_row(101, 2)
+    row = _newton_row(100, 101, 2)
     assert all(row[m] == zeta_m2_closed(101, m) for m in range(1, 101))
-    row = _newton_row(61, 3)
+    row = _newton_row(60, 61, 3)
     assert all(row[m] == zeta_m3_closed(61, m) for m in range(1, 61))
 
 
@@ -189,6 +192,67 @@ def test_engines_agree_at_the_cheaper_selector_seams():
     # every seam with n <= 60 whose six rows are estimated at 0.2 s or less;
     # `python tests/engine_seams.py --n-max 60` (a CI step) checks them all
     assert mismatches(60, max_cost=2e5) == []
+
+
+@pytest.mark.parametrize("name, n_max, s_max", [
+    ("newton", 40, 8),
+    ("multisection", 40, 4),
+    ("multisection", 10, 8),
+    ("field", 12, 8),
+])
+def test_every_engine_prefix_is_the_head_of_its_full_row(name, n_max, s_max):
+    # every top of every row in the range; the multisection's rows at s > 4
+    # and the field product's whole rows cost too much to build n + 1 times
+    # each beyond these bounds
+    build = ROW_ENGINES[name]
+    for n in range(1, n_max + 1):
+        for s in range(1, s_max + 1):
+            full = build(n - 1, n, s)
+            assert len(full) == n, (n, s)
+            for top in range(n + 1):
+                head = build(top, n, s)
+                assert head == full[: len(head)] and len(head) > min(top, n - 1), (n, s, top)
+
+
+def _cold(n, m, s, build):
+    _slot.cache_clear()
+    return _zeta_multi(n, m, s, build)
+
+
+def test_growing_a_prefix_keeps_the_cold_values():
+    rows = ((36, 2), (23, 2), (20, 5), (10, 1000))
+    assert [_row_engine(n, s) for n, s in rows] == ["multisection", "newton", "newton", "field"]
+    for n, s in rows:
+        for build in (_product_row, *ROW_ENGINES.values()):
+            if build is ROW_ENGINES["multisection"] and s > 6:
+                continue
+            ms = (1, 5, n - 1, 2, n + 1)
+            cold = [_cold(n, m, s, build) for m in ms]
+            _slot.cache_clear()
+            assert [_zeta_multi(n, m, s, build) for m in ms] == cold, (n, s, build.__name__)
+    _slot.cache_clear()
+    assert [zv.value for zv in zeta_product(23, 2, 3)] == [_cold(23, m, 2, _product_row) for m in range(4)]
+
+
+def _bernoulli_oracle(n, m, s):
+    """Z_n(zeta_n; m, s) = e_m of the power sums Z_n(zeta_n; 1, js), each
+    from the degenerate Bernoulli numbers: no cyclotomic field and no row
+    engine."""
+    return elem_from_power_sums([zeta_1s_degenerate_bernoulli(n, j * s) for j in range(1, m + 1)], m)
+
+
+@pytest.mark.parametrize("n, m_max, s", [(1001, 3, 20), (97, 8, 12), (61, 3, 10), (20011, 3, 3)])
+def test_large_prefixes_match_the_degenerate_bernoulli_oracle(n, m_max, s):
+    _slot.cache_clear()
+    for m in range(1, m_max + 1):
+        assert _zeta_multi(n, m, s) == _bernoulli_oracle(n, m, s), (n, m, s)
+
+
+def test_prefixes_at_n_100003_match_the_closed_forms():
+    n = 100003
+    for m in range(1, 6):
+        assert _zeta_multi(n, m, 2) == zeta_m2_closed(n, m), m
+        assert _zeta_multi(n, m, 3) == zeta_m3_closed(n, m), m
 
 
 # ------------------------------------------------------------ other routes
