@@ -24,16 +24,14 @@ that needs no field multiplication.  ``CycloElem.inverse`` takes any other
 inverse through the Galois norm, so every operation stays on integer
 coordinates and no route runs the extended Euclidean algorithm.
 
-``CycloCtx.trace`` dots coordinates with Tr(zeta^j), the Ramanujan sums
-c_n(j) = mu(n/g) phi(n)/phi(n/g) with g = gcd(j, n), which it tabulates on
-a context's first trace in O(phi(n)) gcds; ``totient`` gives phi(n).
+``totient`` gives phi(n), the degree of a context.
 
 ``CycloCtx.poly_power`` raises a polynomial over Z[zeta_n] to a power by
 Miller's recurrence on integer coordinates; the multisection engine of the
 product route runs on it in Q(zeta_s).
 
-A context holds Phi_n, its nonzero terms and the trace table, and nothing
-of size n * phi(n): every power of zeta, every sum of powers and every
+A context holds Phi_n and its nonzero terms, and nothing of size
+n * phi(n): every power of zeta, every sum of powers and every
 product is brought into the power basis by one ``CycloCtx.reduce``.
 Contexts are cached per n and immutable; elements from different contexts
 never mix (checked, raises ContextMismatch).
@@ -92,21 +90,6 @@ def totient(n: int) -> int:
     return n
 
 
-def _ramanujan_sums(n: int) -> tuple:
-    """c_n(j) = mu(n/g) phi(n)/phi(n/g), g = gcd(j, n), for j = 0..phi(n)-1:
-    the traces Tr(zeta_n^j) of the power basis."""
-    primes = _prime_factors(n)
-    phi = totient(n)
-    gcds = [math.gcd(j, n) for j in range(phi)]
-    by_gcd = {}
-    for g in set(gcds):
-        d = n // g
-        ps = [p for p in primes if d % p == 0]
-        squarefree = all(d % (p * p) for p in ps)
-        by_gcd[g] = (-1) ** len(ps) * (phi // totient(d)) if squarefree else 0
-    return tuple(by_gcd[g] for g in gcds)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> UniPoly:
     """n-th cyclotomic polynomial with integer coefficients.
@@ -129,8 +112,7 @@ def cyclotomic_poly(n: int) -> UniPoly:
 
 
 class CycloCtx:
-    """Field context for Q(zeta_n): the modulus Phi_n, its nonzero terms and
-    the trace table, built on the first trace."""
+    """Field context for Q(zeta_n): the modulus Phi_n and its nonzero terms."""
 
     def __init__(self, n: int):
         if n < 1:
@@ -141,7 +123,6 @@ class CycloCtx:
         # x^d = sum_j base_j x^j mod Phi_n, d = phi(n): the nonzero terms
         # (j, base_j), for the top-down reduction of ``reduce``
         self._base_terms = tuple((j, -c) for j, c in enumerate(self.phi_poly.coeffs[:-1]) if c)
-        self._traces = None
         self._one = self.zeta_power(0)
         self._zeta = self.zeta_power(1)
 
@@ -182,17 +163,6 @@ class CycloCtx:
         if i % n == 0:
             raise ZeroInverse("1 - zeta^i vanishes when n divides i")
         return self._sum_zeta_powers(((-k, i * k) for k in range(1, n)), n)
-
-    def trace(self, a: "CycloElem") -> Fraction:
-        """Tr_(Q(zeta_n)/Q)(a), with Tr(zeta^j) the Ramanujan sum
-        mu(n/g) phi(n)/phi(n/g), g = gcd(j, n): zeta^j is a primitive
-        (n/g)-th root of unity, each of whose phi(n/g) conjugates it takes
-        phi(n)/phi(n/g) times, and those conjugates sum to mu(n/g)."""
-        if a.ctx.n != self.n:
-            raise ContextMismatch(f"trace in Q(zeta_{self.n}) of an element of Q(zeta_{a.ctx.n})")
-        if self._traces is None:
-            self._traces = _ramanujan_sums(self.n)
-        return Fraction(sum(t * c for t, c in zip(self._traces, a.num)), a.den)
 
     def from_zeta_powers(self, coeffs, den: int) -> "CycloElem":
         """(sum_k coeffs[k] zeta^k) / den for integers coeffs[k] and den > 0,

@@ -19,7 +19,8 @@ return the same rational:
                            prefix m = 0..top in one memo (``seqlib._prefix``)
                            that is extended only when a larger m is read.
                            It comes from one of three engines, whichever has
-                           the least full-row cost estimate (``_row_costs``),
+                           the least cost estimate (``_row_costs``: Newton's
+                           for the prefix, the others' for the full row),
                            and each computes only the entries up to top:
                            multisection of E(t) = ((1+t)^n - 1)/(nt) over
                            the s-th roots of unity, in Q(zeta_s), about
@@ -40,8 +41,12 @@ return the same rational:
 * ``zeta_bell``         -- complete Bell polynomial in single-index values;
 * ``zeta_det``          -- Toeplitz-Hessenberg determinant in single-index
                            values (and ``zeta_row_from_column`` inverts it),
-                           each value Z_n(zeta_n; 1, k) one trace of
-                           (1 - zeta_e)^(-k) per divisor e > 1 of n;
+                           each value Z_n(zeta_n; 1, k) the sum over the
+                           divisors e > 1 of n of p_k(u)/e^k, with
+                           u_j = e/(1 - zeta_e^j) the algebraic integers
+                           whose elementary symmetric values come from
+                           Phi_e(1 + t): one integer power-sum pass per
+                           divisor, no field;
 * closed forms for s = 1, 2, 3 and the degenerate-Bernoulli form for m = 1.
 
 The module also builds the subset-product polynomials F(s, l)(X, Y) from
@@ -55,11 +60,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 
-from .cyclo import as_rational, cyclo_ctx, totient
+from .cyclo import as_rational, cyclo_ctx, cyclotomic_poly, totient
 from .exactnum import (
     UniPoly,
+    exact_div,
     kronecker_pack,
     kronecker_unpack,
     kronecker_width,
@@ -128,12 +134,45 @@ def _inv_pows(n: int, s: int):
     return tuple(c ** s for c in _inv_pows(n, 1))
 
 
+def _divisors(n: int) -> list:
+    """The divisors e > 1 of n >= 2, ascending, by trial division to sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted({e for d in small for e in (d, n // d)} - {1})
+
+
+def _divisor_power_sums(top: int, e: int):
+    """q_k = -p_k(u) for k = 0..top, where u_j = e/(1 - zeta_e^j) over the
+    j prime to e, for e >= 2: algebraic integers, on plain ints.
+
+    prod_j (1 + t u_j) = Phi_e(1 + e t)/Phi_e(1), so their elementary
+    symmetric values are e_i(u) = e^i [t^i] Phi_e(1 + t) / Phi_e(1), where
+    [t^i] Phi_e(1 + t) = sum_k c_k C(k, i) over the coefficients c_k of
+    ``cyclotomic_poly(e)`` and Phi_e(1) is its value at t = 0 (p for
+    e = p^a, 1 otherwise); each division is checked exact.  One
+    ``newton_log`` pass over f_i = (-1)^i e_i(u), i <= min(top, phi(e)),
+    gives every q_k.
+
+    The (i+1)-fold suffix sums of the c_k are A(m) = sum_(k >= m) c_k
+    C(k - m + i, i), so [t^i] Phi_e(1 + t) is the one at m = i: i + 1
+    running sums over the coefficients, from the top one down.
+    """
+    coeffs = cyclotomic_poly(e).coeffs
+    width = min(top, len(coeffs) - 1)
+    acc, shifted = coeffs[::-1], []
+    for i in range(width + 1):
+        acc = list(accumulate(acc[: len(coeffs) - i]))
+        shifted.append(acc[-1])
+    f = [(-1) ** i * exact_div(e ** i * shifted[i], shifted[0]) for i in range(1, width + 1)]
+    return newton_log(f + [0] * (top - width))
+
+
 @lru_cache(maxsize=None)
-def _zeta_single(n: int, s: int) -> Fraction:
-    """Z_n(zeta_n; 1, s) = sum_i (1 - zeta^i)^(-s): the zeta^i of order e are the
-    conjugates of zeta_e, so one trace of (1 - zeta_e)^(-s) per divisor e > 1 of n."""
-    ctxs = (cyclo_ctx(e) for e in range(2, n + 1) if n % e == 0)
-    return sum(ctx.trace(ctx.inv_one_minus_power(1) ** s) for ctx in ctxs)
+def _zeta_single(n: int, k: int) -> Fraction:
+    """Z_n(zeta_n; 1, k) = sum_i (1 - zeta^i)^(-k): the zeta^i of order e are
+    the conjugates zeta_e^j, j prime to e, so the sum is p_k(u)/e^k over the
+    divisors e > 1 of n, each p_k(u) read from the growing prefix of
+    ``_divisor_power_sums`` that every n with the divisor e shares."""
+    return sum(Fraction(-_prefix(k, _divisor_power_sums, e)[k], e ** k) for e in _divisors(n))
 
 
 def _field_row(top: int, n: int, s: int):
@@ -209,31 +248,39 @@ def _newton_row(top: int, n: int, s: int):
     return tuple(Fraction(c, n ** (s * m)) for m, c in enumerate(e))
 
 
-def _row_costs(n: int, s: int) -> dict:
-    """Estimated microseconds of each row engine on the cold row (n, s).
+def _row_costs(n: int, s: int, top: int | None = None) -> dict:
+    """Estimated microseconds of each row engine on the cold row (n, s), the
+    whole row, or only the entries m <= top where Newton builds less.
 
-    The estimates were fitted to cold rows timed in pairs on a 2-core Xeon
-    VM with Python 3.11.7; with K = s(n - 1) they are
+    The estimates were fitted to cold whole rows timed in pairs on a 2-core
+    Xeon VM with Python 3.11.7; with K = s(n - 1), or s min(top, n - 1) for
+    Newton's prefix, they are
 
     * ``field``, ``_field_row``: 35 + n^2 (9.4 + phi(n)^2/52) +
       n^2 phi(n)^1.67 (sn)^1.23 / 30000, about n^2/2 products of degree
       phi(n) whose coordinates grow with s n;
-    * ``newton``, ``_newton_row``: 12 + n K (0.17 + K log2(n) (n + 2.5)/256000),
-      about n K integer steps on power sums of up to K log2(n^2) bits;
+    * ``newton``, ``_newton_row``: 12 + w K (0.17 + K log2(n) (w + 2.5)/256000)
+      with w = min(n, K + 1), about w K integer steps on power sums of up to
+      K log2(n^2) bits, since the log pass reads f_i only for i <= min(n-1, K)
+      (w = n on a whole row);
     * ``multisection``, ``_multisection_row``:
       n (2^s (s+1) (17 + phi(s)^2) + 198) / 27.2, about n (s+1) 2^s / 4
       recurrence steps of degree phi(s) plus a fixed cost per entry.
 
     All need only n, s, phi(n) and phi(s): no subset is enumerated, and 2^s
     is formed only when s is below the bit length of the other two.  Past
-    the float range only the field product is estimated, at infinity.
+    the float range only the field product is estimated, at infinity.  The
+    multisection and field estimates stay whole-row whatever top: the field
+    product builds the whole row, and the multisection's 2^s subset orbits
+    cost the same for a short prefix.
     """
     phi = totient(n)
-    big_k = s * (n - 1)
+    big_k = s * (n - 1 if top is None else min(top, n - 1))
+    width = min(n, big_k + 1)
     try:
         costs = {
             "field": 35 + n * n * (9.4 + phi * phi / 52 + phi ** 1.67 * (s * n) ** 1.23 / 30000),
-            "newton": 12 + n * big_k * (0.17 + big_k * math.log2(n) * (n + 2.5) / 256000),
+            "newton": 12 + width * big_k * (0.17 + big_k * math.log2(n) * (width + 2.5) / 256000),
         }
     except OverflowError:
         # s n past the float range, where only the field product's slower
@@ -244,9 +291,10 @@ def _row_costs(n: int, s: int) -> dict:
     return costs
 
 
-def _row_engine(n: int, s: int) -> str:
-    """The row engine with the least estimate in ``_row_costs``."""
-    costs = _row_costs(n, s)
+def _row_engine(n: int, s: int, top: int | None = None) -> str:
+    """The row engine with the least estimate in ``_row_costs`` for the
+    entries up to top, the whole row by default."""
+    costs = _row_costs(n, s, top)
     return min(costs, key=costs.get)
 
 
@@ -256,8 +304,9 @@ ROW_ENGINES = {"multisection": _multisection_row, "newton": _newton_row, "field"
 
 
 def _product_row(top: int, n: int, s: int):
-    """The row (n, s) up to entry top from the engine ``_row_engine`` picks."""
-    return ROW_ENGINES[_row_engine(n, s)](top, n, s)
+    """The row (n, s) up to entry top from the engine ``_row_engine`` picks
+    for that prefix."""
+    return ROW_ENGINES[_row_engine(n, s, top)](top, n, s)
 
 
 def _zeta_multi(n: int, m: int, s: int, build=_product_row) -> Fraction:

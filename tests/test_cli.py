@@ -395,7 +395,7 @@ def test_approx_beyond_float_range_exits_one_with_one_error_line(capsys):
 def _value_draws(seed, count):
     """``count`` seeded ``value`` command lines, alternating between two
     ranges: n <= 30 with any m <= n + 2, s <= 6 and every method; and n up
-    to 10^6 with m <= 6, s <= 4 on the product and closed routes.  The
+    to 10^6 with m <= 6, s <= 16 on the product and closed routes.  The
     brute oracle's budget is 20000 tuples, as in ``verify`` sweeps, so a
     larger draw ends in its refusal, exit 2, rather than in seconds of
     enumeration."""
@@ -406,7 +406,7 @@ def _value_draws(seed, count):
             m, s = rng.randint(0, n + 2), rng.randint(1, 6)
             method = rng.choice(cli._METHODS)
         else:
-            n, m, s = rng.randint(2, 10**6), rng.randint(0, 6), rng.randint(1, 4)
+            n, m, s = rng.randint(2, 10**6), rng.randint(0, 6), rng.randint(1, 16)
             method = rng.choice(("product", "closed"))
         argv = ["value", "--n", str(n), "--m", str(m), "--s", str(s), "--method", method, "--budget", "20000"]
         argv += ["--format", rng.choice(("text", "json", "csv"))]

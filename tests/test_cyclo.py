@@ -13,7 +13,7 @@ from qmzv.cyclo import (
     product_one_minus_powers,
     totient,
 )
-from qmzv.exactnum import UniPoly, newton_log, poly_divmod, subset_product_sums
+from qmzv.exactnum import UniPoly, poly_divmod, subset_product_sums
 
 F = Fraction
 
@@ -413,30 +413,3 @@ def test_element_builds_lowest_terms_from_fraction_coordinates():
     with pytest.raises(ValueError):
         ctx.element([F(1, 2)] * 5)
 
-
-def test_trace_is_the_sum_of_the_galois_conjugates():
-    import math
-
-    rng = random.Random(18)
-    for n in range(1, 31):
-        ctx = cyclo_ctx(n)
-        units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
-        assert ctx.trace(ctx.one()) == ctx.degree
-        for _ in range(3):
-            a = ctx.element([F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(ctx.degree)])
-            conjugates = ctx.zero()
-            for u in units:
-                conjugates = conjugates + a.galois(u)
-            assert ctx.trace(a) == as_rational(conjugates), n
-    with pytest.raises(ContextMismatch):
-        cyclo_ctx(5).trace(cyclo_ctx(7).zeta())
-
-
-def test_trace_table_matches_the_power_sums_of_the_roots():
-    # oracle: Tr(zeta^j) = p_j of the roots of Phi_n = -q_j of newton_log on
-    # the coefficients of Phi_n from the top, the table's former construction
-    for n in range(1, 301):
-        ctx = cyclo_ctx(n)
-        q = newton_log(list(ctx.phi_poly.coeffs[-2:0:-1]))
-        want = [ctx.degree] + [-c for c in q[1:]]
-        assert [ctx.trace(ctx.zeta_power(j)) for j in range(ctx.degree)] == want, n

@@ -137,3 +137,33 @@ def test_single_index_reference_is_labelled_as_such(capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert code == 4 and payload["failures"]
     assert all(f["routes"] == ["binomial-det", "single-index"] for f in payload["failures"])
+
+
+def test_a_planted_divisor_power_sum_fault_fails_verify_routes(capsys, monkeypatch):
+    # -p_4(u) of the divisor e = 3 off by one: every single-index value
+    # Z_n(zeta_n; 1, 4) with 3 | n is wrong, and with it the Bell and det
+    # values that read it and the row-from-column references
+    real = verify.zeta._divisor_power_sums
+
+    def faulty(top, e):
+        q = real(top, e)
+        if e == 3 and top >= 4:
+            q[4] += 1
+        return q
+
+    monkeypatch.setattr(verify.zeta, "_divisor_power_sums", faulty)
+    verify.zeta._zeta_single.cache_clear()
+    verify.seqlib._slot.cache_clear()
+    try:
+        argv = ["verify", "routes", "--n-max", "10", "--m-max", "4", "--s-max", "3", "--budget", "0"]
+        code = cli.main(argv + ["--format", "json"])
+        failures = json.loads(capsys.readouterr().out)["failures"]
+    finally:
+        verify.zeta._zeta_single.cache_clear()
+        verify.seqlib._slot.cache_clear()
+    assert code == 4
+    cases = {f["case"] for f in failures}
+    assert {"routes n=6 m=4 s=1", "routes n=9 m=2 s=2", "row-from-column n=3 m=2 s=2"} <= cases
+    assert all(int(c.split(" n=")[1].split()[0]) % 3 == 0 for c in cases)
+    bad_routes = [f["actual"] for f in failures if f["case"].startswith("routes ")]
+    assert bad_routes and all(a.startswith("bell=") and "det=" in a for a in bad_routes)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -175,6 +176,16 @@ def test_selector_picks_newton_between_and_the_field_product_for_large_s():
         assert _row_engine(n, s) == "field", (n, s)
 
 
+def test_a_short_prefix_of_a_large_s_row_goes_to_newton():
+    # the whole row (10007, 16) is cheapest by multisection, whose 2^s
+    # subset orbits cost the same for a short prefix; Newton's five
+    # entries take milliseconds, and they equal the field-free Bell value
+    assert _row_engine(10007, 16) == "multisection"
+    assert _row_engine(10007, 16, 4) == "newton"
+    _slot.cache_clear()
+    assert _zeta_multi(10007, 4, 16) == zeta_bell(10007, 4, 16).value
+
+
 def test_newton_row_matches_field_row():
     for n in range(1, 31):
         for s in range(1, 9):
@@ -316,25 +327,51 @@ def test_route_agreement_sweep():
             assert zeta_via_stirling(4, m, s).value == 0
 
 
-# ------------------------------------------------------ single-index traces
+# -------------------------------------------------- single-index power sums
 
 
-def test_single_index_traces_equal_the_sum_over_all_conjugates():
-    # the oracle walks all n - 1 summands (1 - zeta^i)^(-k) in Q(zeta_n)
-    def walk(n, k):
-        ctx = cyclo_ctx(n)
-        return as_rational(sum(_inv_pows(n, k), ctx.zero()))
+def test_single_index_power_sums_equal_the_sum_over_all_conjugates():
+    # the oracle walks all n - 1 summands (1 - zeta^i)^(-k) in Q(zeta_n),
+    # one running power per summand; the values are read cold in shuffled
+    # order, so each divisor's power-sum prefix is regrown from short reads
+    def walk(n, k_max):
+        inv = _inv_pows(n, 1)
+        powers, sums = list(inv), {}
+        for k in range(1, k_max + 1):
+            sums[n, k] = as_rational(sum(powers, cyclo_ctx(n).zero()))
+            powers = [p * c for p, c in zip(powers, inv)]
+        return sums
 
-    grid = [(n, k) for n in range(2, 41) for k in range(1, 13)]
-    grid += [(n, k) for n in (60, 64, 97, 105) for k in range(1, 5)]
+    want = {}
+    for n in range(2, 41):
+        want.update(walk(n, 48))
+    for n in (60, 64, 97, 105):
+        want.update(walk(n, 4))
+    grid = sorted(want)
+    random.Random(25).shuffle(grid)
+    _zeta_single.cache_clear()
+    _slot.cache_clear()
     for n, k in grid:
-        assert _zeta_single(n, k) == walk(n, k), (n, k)
+        assert _zeta_single(n, k) == want[n, k], (n, k)
 
 
-def test_single_index_traces_at_large_n_match_degenerate_bernoulli():
-    for n in (97, 210):
-        for k in range(1, 13):
-            assert _zeta_single(n, k) == zeta_1s_degenerate_bernoulli(n, k), (n, k)
+@pytest.mark.parametrize("n, k_max", [(97, 12), (210, 12), (101, 24), (1001, 24), (10007, 24)])
+def test_single_index_power_sums_at_large_n_match_degenerate_bernoulli(n, k_max):
+    for k in range(1, k_max + 1):
+        assert _zeta_single(n, k) == zeta_1s_degenerate_bernoulli(n, k), (n, k)
+
+
+def test_single_index_values_build_no_field(monkeypatch):
+    def no_field(*args):
+        raise AssertionError(f"built a cyclotomic field: {args[-1]}")
+
+    monkeypatch.setattr("qmzv.cyclo.CycloCtx.__init__", no_field)
+    monkeypatch.setattr("qmzv.zeta.cyclo_ctx", no_field)
+    _zeta_single.cache_clear()
+    _slot.cache_clear()
+    assert zeta_bell(60, 3, 4).value == _bernoulli_oracle(60, 3, 4)
+    assert zeta_det(105, 2, 3).value == zeta_m3_closed(105, 2)
+    assert zeta_1s_det(30, 5) == _zeta_single(30, 5)
 
 
 def test_bell_and_det_match_the_closed_forms_at_large_n():
