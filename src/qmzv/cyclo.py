@@ -24,7 +24,9 @@ that needs no field multiplication.  ``CycloElem.inverse`` takes any other
 inverse through the Galois norm, so every operation stays on integer
 coordinates and no route runs the extended Euclidean algorithm.
 
-``totient`` gives phi(n), the degree of a context.
+``totient`` gives phi(n), the degree of a context.  ``cyclotomic_poly``
+builds Phi_n as its Möbius product prod_(d | n) (1 - x^(n/d))^mu(d) on one
+int list cut at degree phi(n), with no recursion and no polynomial division.
 
 ``CycloCtx.poly_power`` raises a polynomial over Z[zeta_n] to a power by
 Miller's recurrence on integer coordinates; the multisection engine of the
@@ -45,7 +47,7 @@ from functools import lru_cache
 
 # poly_xgcd has no caller here; it stays importable because the benchmark's
 # self-test (bench/test_harness.py) patches and restores cyclo.poly_xgcd.
-from .exactnum import UniPoly, poly_divmod, poly_mul, poly_xgcd, power  # noqa: F401
+from .exactnum import UniPoly, poly_mul, poly_xgcd, power  # noqa: F401
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -94,21 +96,30 @@ def totient(n: int) -> int:
 def cyclotomic_poly(n: int) -> UniPoly:
     """n-th cyclotomic polynomial with integer coefficients.
 
-    Computed by exact division of x^n - 1 by Phi_d over all proper divisors
-    d of n; the base case Phi_1 = x - 1.
+    Phi_1 = x - 1.  For n > 1, Phi_n = prod_(d | n) (1 - x^(n/d))^mu(d)
+    over the squarefree d, built from the primes of n.  Each factor is a
+    unit of Z[[x]], so the product is exact on one list of phi(n) + 1 ints
+    cut at degree phi(n): multiply by 1 - x^D where mu(d) = +1, divide by
+    it (a running sum with stride D) where mu(d) = -1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return UniPoly((-1, 1))
-    num = UniPoly((-1,) + (0,) * (n - 1) + (1,))
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = poly_divmod(num, cyclotomic_poly(d))
-            if not r.is_zero():
-                raise ArithmeticError("cyclotomic division failed")
-            num = q
-    return num
+    phi = totient(n)
+    c = [1] + [0] * phi
+    squarefree = [(1, 1)]  # (d, mu(d))
+    for p in _prime_factors(n):
+        squarefree += [(d * p, -mu) for d, mu in squarefree]
+    for d, mu in squarefree:
+        step = n // d
+        if mu == 1:
+            for k in range(phi, step - 1, -1):
+                c[k] -= c[k - step]
+        else:
+            for k in range(step, phi + 1):
+                c[k] += c[k - step]
+    return UniPoly(c)
 
 
 class CycloCtx:

@@ -29,14 +29,22 @@ def test_cyclotomic_small_values():
     assert cyclotomic_poly(12) == UniPoly((1, 0, -1, 0, 1))
 
 
-def test_cyclotomic_12_by_division_oracle():
-    # divide x^12 - 1 by Phi_1 Phi_2 Phi_3 Phi_4 Phi_6 directly
-    num = x_power_minus_one(12)
-    for d in (1, 2, 3, 4, 6):
-        q, r = poly_divmod(num, cyclotomic_poly(d))
-        assert r.is_zero()
-        num = q
-    assert num == cyclotomic_poly(12)
+def test_cyclotomic_matches_recursive_division():
+    # the old construction: x^n - 1 divided by Phi_d for every proper d | n
+    oracle = {}
+
+    def by_division(n):
+        if n not in oracle:
+            num = x_power_minus_one(n)
+            for d in range(1, n):
+                if n % d == 0:
+                    num, r = poly_divmod(num, by_division(d))
+                    assert r.is_zero()
+            oracle[n] = num
+        return oracle[n]
+
+    for n in [*range(1, 401), 1155, 2310]:
+        assert cyclotomic_poly(n) == by_division(n), n
 
 
 def test_cyclotomic_product_identity():
@@ -186,7 +194,7 @@ def _is_canonical(x):
     )
 
 
-def test_closed_form_inverse_table_matches_xgcd():
+def test_closed_form_inverse_table_matches_the_norm_inverse():
     for n in range(2, 41):
         ctx = cyclo_ctx(n)
         one = ctx.one()

@@ -355,7 +355,7 @@ def test_single_index_power_sums_equal_the_sum_over_all_conjugates():
         assert _zeta_single(n, k) == want[n, k], (n, k)
 
 
-@pytest.mark.parametrize("n, k_max", [(97, 12), (210, 12), (101, 24), (1001, 24), (10007, 24)])
+@pytest.mark.parametrize("n, k_max", [(97, 12), (210, 12), (101, 24), (1001, 24), (10007, 24), (30030, 24)])
 def test_single_index_power_sums_at_large_n_match_degenerate_bernoulli(n, k_max):
     for k in range(1, k_max + 1):
         assert _zeta_single(n, k) == zeta_1s_degenerate_bernoulli(n, k), (n, k)
@@ -375,7 +375,7 @@ def test_single_index_values_build_no_field(monkeypatch):
 
 
 def test_bell_and_det_match_the_closed_forms_at_large_n():
-    for n in (97, 105, 211, 1009):
+    for n in (97, 105, 211, 1009, 30030):
         for m in range(1, 7):
             for s, closed in ((2, zeta_m2_closed), (3, zeta_m3_closed)):
                 want = closed(n, m)
@@ -660,10 +660,13 @@ def test_no_route_reaches_polynomial_euclid(monkeypatch, capsys):
     from qmzv import zeta as zmod
 
     def refuse(*args):
-        raise AssertionError("polynomial Euclid reached")
+        raise AssertionError("polynomial Euclid or division reached")
 
     monkeypatch.setattr(exactnum, "poly_xgcd", refuse)
     monkeypatch.setattr(cyclo, "poly_xgcd", refuse)
+    monkeypatch.setattr(exactnum, "poly_divmod", refuse)
+    # cyclotomic_poly builds Phi_n with no division, so cyclo imports none
+    monkeypatch.setattr(cyclo, "poly_divmod", refuse, raising=False)
     # start cold, so no value memoized before the patch hides a call
     for mod in (cyclo, exactnum, qstirling, seqlib, zmod):
         for obj in vars(mod).values():
