@@ -104,12 +104,14 @@ def _approx(v) -> float:
 
 def _budget(args) -> int:
     """The brute-force tuple budget: ``--budget``, else ``QMZV_BUDGET``, else
-    the default; a negative budget is refused."""
-    if args.budget is not None:
-        budget = args.budget
-    else:
+    the default; a negative or non-integer budget is refused."""
+    budget = args.budget
+    if budget is None:
         env = os.environ.get("QMZV_BUDGET")
-        budget = int(env) if env else DEFAULT_BRUTE_BUDGET
+        try:
+            budget = int(env) if env else DEFAULT_BRUTE_BUDGET
+        except ValueError:
+            raise BadParams(f"QMZV_BUDGET must be an integer, got {env!r}") from None
     if budget < 0:
         raise BadParams(f"budget must be >= 0, got {budget}")
     return budget

@@ -1,6 +1,6 @@
 """Exact arithmetic kernel: dense polynomials, determinant routines, the
-power-series loops, the one tuple-sum enumerator ``tuple_product_sum`` and
-the expansion ``subset_product_sums`` of prod (1 + vX), over generic
+power-series loops, the one-row tuple-sum enumerator ``tuple_product_sum``
+and the expansion ``subset_product_sums`` of prod (1 + vX), over generic
 commutative coefficient rings.
 
 A truncated power series is a plain coefficient sequence, lowest degree
@@ -405,32 +405,29 @@ def newton_log(f: Sequence) -> list:
     return q
 
 
-def tuple_product_sum(rows: Sequence[Sequence], strict: bool = True, mul=operator.mul):
-    """Sum of rows[0][i_1] * ... * rows[m-1][i_m] over the index tuples
-    i_1 < ... < i_m (i_1 <= ... <= i_m when ``strict`` is false) into rows
-    of equal length.
+def tuple_product_sum(row: Sequence, depth: int, strict: bool = True, mul=operator.mul):
+    """Sum of row[i_1] * ... * row[i_depth] over the index tuples
+    i_1 < ... < i_depth (i_1 <= ... <= i_depth when ``strict`` is false).
 
-    A literal enumeration on an explicit stack, so m has no recursion
-    limit: each prefix product is computed once and shared by every tuple
-    that extends it, and each product starts from its first factor.  Zero
-    factors give 1 (the empty product); no tuple gives 0.
+    A literal enumeration on an explicit stack, so the depth has no
+    recursion limit: each prefix product is computed once and shared by
+    every tuple that extends it, and each product starts from its first
+    factor.  Depth 0 gives 1 (the empty product); no tuple gives 0.
 
     Every product is ``mul(prefix, factor)``, plain ``*`` by default.  With
     a ``mul`` that reduces its product by a modulus (``zeta.zeta_brute``
     folds packed integers modulo 2^N - 1), the result is congruent to the
     sum modulo it; the additions are left unreduced.
     """
-    m = len(rows)
-    if m == 0:
+    if depth == 0:
         return 1
     step = 1 if strict else 0
-    ends = [len(rows[0]) - step * (m - 1 - d) for d in range(m)]
+    ends = [len(row) - step * (depth - 1 - d) for d in range(depth)]
     total = None
-    stack = [(0, 0, None)]  # (depth, first index, product of the factors above)
+    stack = [(0, 0, None)]  # (level, first index, product of the factors above)
     while stack:
         d, start, prefix = stack.pop()
-        row = rows[d]
-        if d == m - 1:
+        if d == depth - 1:
             for i in range(start, ends[d]):
                 p = row[i] if prefix is None else mul(prefix, row[i])
                 total = p if total is None else total + p

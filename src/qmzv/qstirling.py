@@ -283,12 +283,12 @@ def stirling1_closed(n: int, m: int, r: int = 1, s: int = 1, q: QPoint = Symboli
     for i, v in enumerate(weights, r):
         if v == 0:
             raise BadParams(f"[{i}]_q vanishes at this q; the reciprocal form divides by it")
-    prod = tuple_product_sum([weights] * (n - m))
+    prod = tuple_product_sum(weights, n - m)
     if isinstance(q, SymbolicQ):
         return prod, prod
     w = math.prod(weights, start=q.one())  # ([n-1]_q! / [r-1]_q!)^s
     inv_values = [1 / v for v in weights]
-    return w * tuple_product_sum([inv_values] * (m - r)), prod
+    return w * tuple_product_sum(inv_values, m - r), prod
 
 
 def stirling2_iterated(n: int, k: int, r: int = 1, s: int = 1, q: QPoint = SymbolicQ()):
@@ -313,7 +313,7 @@ def stirling2_iterated(n: int, k: int, r: int = 1, s: int = 1, q: QPoint = Symbo
         level = [sum(pows[u - i] * level[i] for i in range(u + 1)) for u in range(depth + 1)]
     nested = level[depth]
     weights = [tab.weight(i) for i in range(r, k + 1)]
-    monotone = tuple_product_sum([weights] * (n - k), strict=False)
+    monotone = tuple_product_sum(weights, n - k, strict=False)
     return nested, monotone
 
 

@@ -19,8 +19,8 @@ each transform makes one Fraction, at the end.  So ``bell_complete`` (and
 Fractions only; the recurrence and partition routes stay generic over any
 coefficient ring.
 
-Harmonic, degenerate Bernoulli (per m), higher-order Bernoulli (per alpha)
-and Norlund numbers each read one growing list through ``_prefix``.
+Harmonic, degenerate Bernoulli (per m, and in lambda), higher-order Bernoulli
+(per alpha) and Norlund numbers each read one growing list through ``_prefix``.
 """
 
 from __future__ import annotations
@@ -269,20 +269,21 @@ def degen_bernoulli(k: int, lam) -> Fraction:
     return degen_bernoulli_series(lam.denominator, k + 1)[k] * math.factorial(k)
 
 
-@lru_cache(maxsize=None)
-def degen_bernoulli_poly(k: int) -> UniPoly:
-    """beta_k as a polynomial in lambda.
-
-    Expands (1 + lambda*t)^(1/lambda) = exp(log(1 + lambda*t)/lambda) by
+def _degen_bernoulli_polys(top: int) -> list:
+    """beta_0, ..., beta_top as polynomials in lambda: expands
+    (1 + lambda*t)^(1/lambda) = exp(log(1 + lambda*t)/lambda) by
     :func:`exactnum.newton_exp` on g_j = (-lambda)^(j-1), whose t-coefficients
     are polynomials in lambda, then inverts ((1+lambda t)^(1/lambda) - 1)/t
-    by :func:`exactnum.series_inv`.
-    """
+    by :func:`exactnum.series_inv`."""
+    e = newton_exp([UniPoly([0] * j + [Fraction((-1) ** j)]) for j in range(top + 1)])
+    return [c * math.factorial(k) for k, c in enumerate(series_inv(e[1:]))]
+
+
+def degen_bernoulli_poly(k: int) -> UniPoly:
+    """beta_k as a polynomial in lambda, read from one growing list."""
     if k < 0:
         raise ValueError("need k >= 0")
-    e = newton_exp([UniPoly([0] * j + [Fraction((-1) ** j)]) for j in range(k + 1)])
-    c = series_inv(e[1:])[k] * math.factorial(k)
-    return c if isinstance(c, UniPoly) else UniPoly((Fraction(c),))
+    return _prefix(k, _degen_bernoulli_polys)[k]
 
 
 @lru_cache(maxsize=None)

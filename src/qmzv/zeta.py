@@ -361,7 +361,7 @@ def _cyclic_tuple_sum(n: int, rows, depth: int, count: int) -> list:
         return (p & mod) + (p >> bits)
 
     packed = [kronecker_pack(r, w) for r in rows]
-    total = tuple_product_sum([packed] * depth, mul=fold) % mod
+    total = tuple_product_sum(packed, depth, mul=fold) % mod
     if total > mod >> 1:
         total -= mod
     return kronecker_unpack(total, w, n)
@@ -542,6 +542,10 @@ def harmonic_q_series(n: int, parts, q=None):
     element (it is generally irrational), and 1/[i]^(s_j) is (1 - zeta)^(s_j)
     times the memoized (1 - zeta^i)^(-s_j) of ``_inv_pows``, with one power
     of (1 - zeta) per distinct part.  A rational q gives a Fraction.
+
+    Nested prefix sums, innermost part first: i_d runs over m-d+1 .. n-d,
+    and the running sums of depth d accumulate the row of s_d times those of
+    depth d+1 one index lower, so past the rows m parts cost m (n - m) products.
     """
     parts = tuple(parts)
     if not parts:
@@ -571,10 +575,11 @@ def harmonic_q_series(n: int, parts, q=None):
 
     if m > n - 1:
         return zero
-    # one row per distinct part; rows list i = n-1 down to 1, so the
-    # decreasing index tuples are the increasing position tuples
-    rows = {sj: [factor(sj, i) for i in range(n - 1, 0, -1)] for sj in set(parts)}
-    return tuple_product_sum([rows[sj] for sj in parts])
+    rows = {sj: [factor(sj, i) for i in range(1, n)] for sj in set(parts)}
+    sums = list(accumulate(rows[parts[-1]][: n - m]))
+    for d in range(m - 1, 0, -1):
+        sums = list(accumulate(a * b for a, b in zip(rows[parts[d - 1]][m - d : n - d], sums)))
+    return sums[-1]
 
 
 def zeta_1s_degenerate_bernoulli(n: int, s: int) -> Fraction:

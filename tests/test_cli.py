@@ -113,6 +113,17 @@ def test_negative_budget_env_is_refused(capsys, monkeypatch):
     assert code == 0 and "[brute]" in out
 
 
+def test_non_integer_budget_env_is_refused(capsys, monkeypatch):
+    monkeypatch.setenv("QMZV_BUDGET", "abc")
+    for argv in (
+        ("value", "--n", "5", "--m", "2", "--s", "1", "--method", "brute"),
+        ("verify", "routes", "--n-max", "3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: QMZV_BUDGET must be an integer, got 'abc'"]
+
+
 # ----------------------------------------------------------------- table
 
 

@@ -540,44 +540,39 @@ def test_tuple_product_sum_matches_literal_combinations():
     rng = random.Random(11)
     for _ in range(40):
         size = rng.randint(1, 7)
-        m = rng.randint(1, 4)
-        rows = [[rand_frac(rng) for _ in range(size)] for _ in range(m)]
-        strict = sum(
-            prod(rows[d][i] for d, i in enumerate(idx))
-            for idx in combinations(range(size), m)
-        )
-        weak = sum(
-            prod(rows[d][i] for d, i in enumerate(idx))
-            for idx in combinations_with_replacement(range(size), m)
-        )
-        assert tuple_product_sum(rows) == strict
-        assert tuple_product_sum(rows, strict=False) == weak
+        depth = rng.randint(1, 4)
+        row = [rand_frac(rng) for _ in range(size)]
+        strict = sum(prod(c) for c in combinations(row, depth))
+        weak = sum(prod(c) for c in combinations_with_replacement(row, depth))
+        assert tuple_product_sum(row, depth) == strict
+        assert tuple_product_sum(row, depth, strict=False) == weak
 
 
 def test_tuple_product_sum_edge_cases():
     row = [F(2), F(3), F(5)]
-    assert tuple_product_sum([]) == 1
-    assert tuple_product_sum([], strict=False) == 1
-    assert tuple_product_sum([row] * 4) == 0
-    assert tuple_product_sum([row] * 3) == 30
-    assert tuple_product_sum([row] * 4, strict=False) == sum(
+    assert tuple_product_sum(row, 0) == 1
+    assert tuple_product_sum(row, 0, strict=False) == 1
+    assert tuple_product_sum([], 0) == 1
+    assert tuple_product_sum(row, 4) == 0
+    assert tuple_product_sum(row, 3) == 30
+    assert tuple_product_sum(row, 4, strict=False) == sum(
         prod(c) for c in combinations_with_replacement(row, 4)
     )
-    assert tuple_product_sum([[]]) == 0
-    assert tuple_product_sum([[], []], strict=False) == 0
+    assert tuple_product_sum([], 1) == 0
+    assert tuple_product_sum([], 2, strict=False) == 0
 
 
 def test_tuple_product_sum_reduces_each_product_through_mul():
     rng = random.Random(5)
     prime = 10007
-    rows = [[rng.randint(-10**6, 10**6) for _ in range(6)] for _ in range(3)]
+    row = [rng.randint(-10**6, 10**6) for _ in range(6)]
 
     def mul_mod(a, b):
         return a * b % prime
 
     for strict in (True, False):
-        plain = tuple_product_sum(rows, strict=strict)
-        reduced = tuple_product_sum(rows, strict=strict, mul=mul_mod)
+        plain = tuple_product_sum(row, 3, strict=strict)
+        reduced = tuple_product_sum(row, 3, strict=strict, mul=mul_mod)
         assert reduced != plain  # the products went through mul
         assert reduced % prime == plain % prime
 
@@ -604,7 +599,7 @@ class _Counted:
 def test_tuple_sums_share_prefixes_and_start_from_the_first_factor():
     values = [_Counted(F(k)) for k in (2, 3, 5, 7)]
     _Counted.muls = 0
-    assert tuple_product_sum([values] * 3).v == 2 * 3 * 5 + 2 * 3 * 7 + 2 * 5 * 7 + 3 * 5 * 7
+    assert tuple_product_sum(values, 3).v == 2 * 3 * 5 + 2 * 3 * 7 + 2 * 5 * 7 + 3 * 5 * 7
     # 3 shared pair prefixes, then one multiplication per 3-tuple
     assert _Counted.muls == 3 + 4
     _Counted.muls = 0

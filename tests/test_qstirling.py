@@ -198,9 +198,9 @@ def test_stirling1_closed_enumerates_the_product_side(monkeypatch):
     depths = []
     real = qstirling.tuple_product_sum
 
-    def counting(rows, *args, **kwargs):
-        depths.append(len(rows))
-        return real(rows, *args, **kwargs)
+    def counting(row, depth, *args, **kwargs):
+        depths.append(depth)
+        return real(row, depth, *args, **kwargs)
 
     monkeypatch.setattr(qstirling, "tuple_product_sum", counting)
     for q in (SYM, RationalQ(F(7, 5))):

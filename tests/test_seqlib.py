@@ -338,6 +338,22 @@ def test_degen_bernoulli_sweep_reads_one_growing_series(monkeypatch):
             seqlib.degen_bernoulli_series(7, order)
 
 
+def test_degen_bernoulli_poly_sweep_reads_one_growing_list(monkeypatch):
+    # a stand-in builder whose entry k is the constant k: the sweep must read
+    # entry k of the list and rebuild it only when it doubles
+    tops = []
+
+    def build(top):
+        tops.append(top)
+        return [UniPoly((F(k),)) for k in range(top + 1)]
+
+    monkeypatch.setattr(seqlib, "_degen_bernoulli_polys", build)
+    seqlib._slot.cache_clear()
+    for k in range(40):
+        assert degen_bernoulli_poly(k) == UniPoly((F(k),)), k
+    assert len(tops) <= math.ceil(math.log2(40)) + 1, tops
+
+
 def test_degen_bernoulli_rational_vs_poly():
     for k in range(0, 9):
         p = degen_bernoulli_poly(k)

@@ -1,12 +1,12 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from engine_seams import mismatches
 
-from qmzv.cyclo import as_rational, cyclo_ctx
+from qmzv.cyclo import CycloElem, as_rational, cyclo_ctx
 from qmzv.exactnum import UniPoly, tuple_product_sum
 from qmzv.qstirling import BadParams, rstirling1
 from qmzv.seqlib import _slot, elem_from_power_sums
@@ -79,7 +79,7 @@ def test_brute_matches_the_tuple_sum_in_the_field():
     for n in range(2, 15):
         for m in range(1, n):
             for s in range(1, 5):
-                want = as_rational(tuple_product_sum([_inv_pows(n, s)] * m))
+                want = as_rational(tuple_product_sum(_inv_pows(n, s), m))
                 assert zeta_brute(n, m, s).value == want, (n, m, s)
 
 
@@ -464,7 +464,7 @@ def test_m3_closed_matches_brute():
 def test_harmonic_q_series_direct_field_oracle():
     # literal sum over n-1 >= i_1 > ... > i_m >= 1 of
     # prod_j zeta^((s_j-1) i_j) / [i_j]^(s_j), with [i] summed from powers of zeta
-    for n in (3, 5, 6, 7, 8, 9, 12):
+    for n in (3, 5, 6, 7, 8, 9, 12, 13, 16):
         ctx = cyclo_ctx(n)
         inv_qnum = {}
         for i in range(1, n):
@@ -472,7 +472,7 @@ def test_harmonic_q_series_direct_field_oracle():
             for t in range(i):
                 qn = qn + ctx.zeta_power(t)
             inv_qnum[i] = qn.inverse()
-        for parts in ((1,), (2,), (3,), (2, 1), (1, 3), (2, 2, 1)):
+        for parts in ((1,), (2,), (3,), (2, 1), (1, 3), (2, 2, 1), (1, 2, 1, 2), (3, 1, 1, 2)):
             want = ctx.zero()
             for idx in combinations(range(n - 1, 0, -1), len(parts)):
                 term = ctx.one()
@@ -480,6 +480,41 @@ def test_harmonic_q_series_direct_field_oracle():
                     term = term * ctx.zeta_power((sj - 1) * i) * inv_qnum[i] ** sj
                 want = want + term
             assert harmonic_q_series(n, parts) == want, (n, parts)
+
+
+def test_harmonic_q_series_reversal():
+    # i -> n - i and complex conjugation: z_n(k_1, ..., k_r) =
+    # (-1)^w zeta^w conj(z_n(k_r, ..., k_1)) with w = k_1 + ... + k_r
+    for n in range(2, 17):
+        ctx = cyclo_ctx(n)
+        for r in range(1, 4):
+            for parts in product((1, 2, 3), repeat=r):
+                w = sum(parts)
+                mirrored = harmonic_q_series(n, parts[::-1]).galois(n - 1)
+                assert harmonic_q_series(n, parts) == (-1) ** w * ctx.zeta_power(w) * mirrored, (
+                    n,
+                    parts,
+                )
+
+
+def test_harmonic_q_series_costs_products_linear_in_depth_and_n(monkeypatch):
+    # the nested prefix sums make at most r (n - r) products past the rows,
+    # not one per index tuple; the rows take two products per entry
+    real = CycloElem.__mul__
+    products = []
+
+    def counting(self, other):
+        products.append(1)
+        return real(self, other)
+
+    n = 30
+    for parts in ((1, 2, 1), (2, 1, 2, 1)):
+        want = harmonic_q_series(n, parts)  # warms the rows of _inv_pows
+        monkeypatch.setattr(CycloElem, "__mul__", counting)
+        products.clear()
+        assert harmonic_q_series(n, parts) == want
+        monkeypatch.undo()
+        assert len(products) <= 3 * len(parts) * (n - 1), (parts, len(products))
 
 
 def test_harmonic_q_series_empty_range():
