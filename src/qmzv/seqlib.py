@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
-from .exactnum import BadConstantTerm, UniPoly, det_hessenberg, newton_exp, newton_log, series_inv
+from .exactnum import BadConstantTerm, UniPoly, det_hessenberg, newton_exp, newton_log, poly_mul, series_inv
 from .util import fractionize
 
 
@@ -232,14 +232,13 @@ def harmonic(n: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def hyperharmonic(n: int, k: int) -> Fraction:
-    """h_n^(k): iterated partial sums of harmonic numbers, h_n^(1) = H_n,
-    from k - 1 prefix-sum passes over H_1..H_n."""
+    """h_n^(k): iterated partial sums of harmonic numbers, h_n^(1) = H_n; for
+    k >= 2 C(n+k-1, k-1) (H_(n+k-1) - H_(k-1)) in n additions (Benjamin-Gaebler)."""
     if n < 1 or k < 1:
         raise ValueError("need n, k >= 1")
-    row = _prefix(n, _harmonic_numbers)[1 : n + 1]
-    for _ in range(k - 1):
-        row = list(accumulate(row))
-    return row[-1]
+    if k == 1:
+        return harmonic(n)
+    return math.comb(n + k - 1, k - 1) * sum(Fraction(1, i) for i in range(k, n + k))
 
 
 def _degen_bernoulli_numbers(top: int, m: int) -> list:
@@ -270,13 +269,17 @@ def degen_bernoulli(k: int, lam) -> Fraction:
 
 
 def _degen_bernoulli_polys(top: int) -> list:
-    """beta_0, ..., beta_top as polynomials in lambda: expands
-    (1 + lambda*t)^(1/lambda) = exp(log(1 + lambda*t)/lambda) by
-    :func:`exactnum.newton_exp` on g_j = (-lambda)^(j-1), whose t-coefficients
-    are polynomials in lambda, then inverts ((1+lambda t)^(1/lambda) - 1)/t
-    by :func:`exactnum.series_inv`."""
-    e = newton_exp([UniPoly([0] * j + [Fraction((-1) ** j)]) for j in range(top + 1)])
-    return [c * math.factorial(k) for k, c in enumerate(series_inv(e[1:]))]
+    """beta_0, ..., beta_top as polynomials in lambda.  With P_k = prod_(i=1..k)
+    (1 - i lambda), ((1 + lambda t)^(1/lambda) - 1)/t = sum_k P_k t^k/(k+1)!, so
+    b_N = (N+1)! beta_N lies in Z[lambda]: b_0 = 1 and b_N = -sum_(k=1..N)
+    C(N+1, k+1) N!/(N-k+1)! P_k b_(N-k), each product an int :func:`exactnum.poly_mul`."""
+    ps, bs = [[1]], [[1]]
+    for n in range(1, top + 1):
+        ps.append(poly_mul(ps[-1], [1, -n]))
+        cs = [math.comb(n + 1, k + 1) * math.perm(n, k - 1) for k in range(1, n + 1)]
+        terms = (poly_mul([c * x for x in ps[k]], bs[n - k]) for k, c in enumerate(cs, 1))
+        bs.append([-sum(col) for col in zip(*terms)])
+    return [UniPoly(b) / math.factorial(n + 1) for n, b in enumerate(bs)]
 
 
 def degen_bernoulli_poly(k: int) -> UniPoly:

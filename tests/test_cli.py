@@ -432,6 +432,55 @@ def test_value_draws_end_in_a_documented_exit_code(capsys):
         assert (code == 0) == bool(out), argv
 
 
+_Q_FORMS = ("symbolic", "0", "1", "-1", "2/3", "-5/7", "root:0", "root:x", "1/0", "abc")
+
+
+def _command_draws(seed, count):
+    """``count`` seeded command lines over every other command, in turn:
+    ``table zeta`` with n <= 60 and s <= 6 or a refused n or s; ``table
+    stirling1|stirling2`` with n_max <= 8 at every ``--q`` form, valid and
+    malformed (given as ``--q=...`` so that a leading minus stays a value);
+    ``table rstirling`` with r from 0 to 4; ``table bernoulli`` of both kinds
+    with alpha from -1 to 4; ``poly`` with a cap that may fall below m*s; and
+    every ``verify`` suite at small bounds, budget 0 included.  Every draw
+    picks a ``--format``, and about 30 % of the ``table`` draws ``--approx``
+    (the only command here that takes it)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = i % 6
+        if kind == 0:
+            n = rng.randint(-2, 1) if rng.random() < 0.2 else rng.randint(2, 60)
+            s = rng.randint(-1, 0) if rng.random() < 0.2 else rng.randint(1, 6)
+            argv = ["table", "zeta", "--n", str(n), "--s", str(s)]
+        elif kind == 1:
+            q = f"root:{rng.randint(1, 12)}" if rng.random() < 0.4 else rng.choice(_Q_FORMS)
+            argv = ["table", rng.choice(("stirling1", "stirling2")), "--n-max", str(rng.randint(-1, 8)),
+                    "--r", str(rng.choice((0, 1, 1, 2, 3))), "--s", str(rng.choice((0, 1, 1, 2, 3))), f"--q={q}"]
+        elif kind == 2:
+            argv = ["table", "rstirling", "--n-max", str(rng.randint(-1, 10)), "--r", str(rng.randint(0, 4))]
+        elif kind == 3:
+            argv = ["table", "bernoulli", "--kind", rng.choice(("norlund", "order")),
+                    "--alpha", str(rng.randint(-1, 4)), "--n-max", str(rng.randint(-1, 30))]
+        elif kind == 4:
+            argv = ["poly", "--m", str(rng.randint(0, 5)), "--s", str(rng.randint(0, 4)),
+                    "--degree-cap", str(rng.randint(0, 16))]
+        else:
+            argv = ["verify", rng.choice(cli._SUITES), "--n-max", str(rng.choice((0, 2, 3, 4, 5))),
+                    "--m-max", str(rng.randint(1, 3)), "--s-max", str(rng.randint(1, 3)),
+                    "--trunc", str(rng.randint(1, 6)), "--budget", str(rng.choice((0, 0, 200, 20000)))]
+        argv += ["--format", rng.choice(("text", "json", "csv"))]
+        yield argv + ["--approx"] * (argv[0] == "table" and rng.random() < 0.3)
+
+
+def test_command_draws_end_in_a_documented_exit_code(capsys):
+    for argv in _command_draws(2025, 200):
+        code, out, err = run_cli(capsys, *argv)
+        assert code in range(5), argv
+        assert err.count("error:") <= 1 and "Traceback" not in out + err, argv
+        printed = (0, 4) if argv[0] == "verify" else (0,)
+        assert (code in printed) == bool(out), argv
+
+
 def test_values_past_the_int_digit_limit_print_exactly(capsys):
     # Z(2; 1, s) = 1/2^s: at s = 20000 the denominator has 6021 digits, past
     # the interpreter's default limit of 4300 for int -> str.  Decimal gives

@@ -1,12 +1,12 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
 from qmzv import seqlib
-from qmzv.exactnum import BadConstantTerm, UniPoly, det_fraction_free
+from qmzv.exactnum import BadConstantTerm, UniPoly, det_fraction_free, newton_exp, series_inv
 from qmzv.qstirling import rstirling1
 from qmzv.seqlib import (
     InsufficientInput,
@@ -76,8 +76,6 @@ def test_bell_insufficient_input():
 def test_bell_generating_function():
     # exp(sum x_m t^m / m!) coefficient check for a fixed input
     # through newton_exp, which takes g_m = m [t^m] of the exponent
-    from qmzv.exactnum import newton_exp
-
     xs = [F(1), F(-2), F(3), F(1, 2), F(0), F(7)]
     n = len(xs)
     e = newton_exp([m * xs[m - 1] / math.factorial(m) for m in range(1, n + 1)])
@@ -263,27 +261,51 @@ def test_harmonic_over_a_shuffled_range_equals_the_direct_sum():
         assert harmonic(n) == direct[n], n
 
 
+def _hyperharmonic_by_passes(n, k):
+    """h_n^(k) by its definition: h^(1) = H, and each further order is the
+    running sum of the last, k - 1 passes over H_1..H_n."""
+    row = list(accumulate(F(1, i) for i in range(1, n + 1)))
+    for _ in range(k - 1):
+        row = list(accumulate(row))
+    return row[-1]
+
+
 def test_hyperharmonic_values():
     assert hyperharmonic(2, 2) == F(5, 2)
     assert hyperharmonic(3, 1) == harmonic(3)
-    # closed form h_n^(k) = C(n+k-1, k-1) (H_{n+k-1} - H_{k-1})
-    for n in range(1, 8):
-        for k in range(2, 6):
-            want = math.comb(n + k - 1, k - 1) * (harmonic(n + k - 1) - harmonic(k - 1))
-            assert hyperharmonic(n, k) == want
+    for n in range(1, 13):
+        for k in range(1, 13):
+            assert hyperharmonic(n, k) == _hyperharmonic_by_passes(n, k), (n, k)
 
 
 def test_hyperharmonic_deep_arguments_have_no_recursion_limit():
     for n, k in ((1, 1500), (3, 1100)):
-        want = math.comb(n + k - 1, k - 1) * (harmonic(n + k - 1) - harmonic(k - 1))
-        assert hyperharmonic(n, k) == want
+        assert hyperharmonic(n, k) == _hyperharmonic_by_passes(n, k)
+
+
+def test_hyperharmonic_makes_no_pass_over_the_harmonic_numbers(monkeypatch):
+    calls = []
+    inner = seqlib.accumulate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(seqlib, "accumulate", counted)
+    seqlib._slot.cache_clear()
+    hyperharmonic.cache_clear()
+    # k - 1 = 399 passes by the definition; the closed form makes none, and
+    # at most one for a harmonic prefix
+    value = hyperharmonic(50, 400)
+    assert len(calls) <= 1
+    assert value == _hyperharmonic_by_passes(50, 400)
 
 
 def test_hyperharmonic_rstirling_bridge():
     assert rstirling1(4, 3, 2) == 2 * hyperharmonic(2, 2) == 5
     # the hyperharmonic factor carries (m+1)!, which collapses to m+1 only
     # in the m = 1 case above
-    for m in range(1, 9):
+    for m in range(1, 31):
         lhs = rstirling1(2 * m + 2, m + 2, m + 1)
         mid = F(math.factorial(2 * m + 1), math.factorial(m)) * (
             harmonic(2 * m + 1) - harmonic(m)
@@ -307,6 +329,32 @@ def test_degen_bernoulli_poly_displays():
     assert degen_bernoulli_poly(5) == (9 * lam ** 5 - 10 * lam ** 3 + lam) / 4
     assert degen_bernoulli_poly(5)(F(1, 2)) == math.factorial(5) * F(-1, 4) ** 5
     assert degen_bernoulli_poly(5)(F(1)) == 0
+
+
+def _degen_bernoulli_polys_by_series(top):
+    """beta_0..beta_top by the series in lambda: (1 + lambda t)^(1/lambda) =
+    exp(log(1 + lambda t)/lambda) by newton_exp on g_j = (-lambda)^(j-1),
+    then ((1 + lambda t)^(1/lambda) - 1)/t inverted by series_inv."""
+    e = newton_exp([UniPoly([0] * j + [F((-1) ** j)]) for j in range(top + 1)])
+    return [c * math.factorial(k) for k, c in enumerate(series_inv(e[1:]))]
+
+
+def test_degen_bernoulli_poly_matches_the_series_inversion():
+    for k, want in enumerate(_degen_bernoulli_polys_by_series(24)):
+        got = degen_bernoulli_poly(k)
+        assert got == want and all(type(c) is F for c in got.coeffs), k
+
+
+def test_degen_bernoulli_polys_invert_no_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the integer recurrence needs no series exp or inversion")
+
+    monkeypatch.setattr(seqlib, "newton_exp", refuse)
+    monkeypatch.setattr(seqlib, "series_inv", refuse)
+    lam = UniPoly((F(0), F(1)))
+    polys = seqlib._degen_bernoulli_polys(12)
+    assert len(polys) == 13
+    assert polys[5] == (9 * lam ** 5 - 10 * lam ** 3 + lam) / 4
 
 
 def test_degen_bernoulli_rational_mode():

@@ -9,7 +9,7 @@ from engine_seams import mismatches
 from qmzv.cyclo import CycloElem, as_rational, cyclo_ctx
 from qmzv.exactnum import UniPoly, tuple_product_sum
 from qmzv.qstirling import BadParams, rstirling1
-from qmzv.seqlib import _slot, elem_from_power_sums
+from qmzv.seqlib import _slot, elem_from_power_sums, harmonic
 from qmzv.zeta import (
     REFERENCE_POLYNOMIALS,
     ROW_ENGINES,
@@ -532,6 +532,19 @@ def test_harmonic_q_series_rational_point():
         for i2 in range(1, i1):
             want2 += (F(2) ** (2 * i1) / qn[i1] ** 3) * (F(1) / qn[i2])
     assert harmonic_q_series(4, (3, 1), q=F(2)) == want2
+
+
+def test_harmonic_q_series_at_q_one_is_the_finite_multiple_harmonic_sum():
+    # at q = 1 every [i]_q is i: parts (1,)^r give e_r(1, 1/2, ..., 1/(n-1)),
+    # which is [n, r+1]/(n-1)! for the unsigned Stirling numbers of the first
+    # kind, and one part k gives sum_(i < n) 1/i^k
+    for n in range(2, 31):
+        for r in range(1, n):
+            want = F(rstirling1(n, r + 1, 1), math.factorial(n - 1))
+            assert harmonic_q_series(n, (1,) * r, q=1) == want, (n, r)
+        for k in range(1, 5):
+            assert harmonic_q_series(n, (k,), q=1) == sum(F(1, i**k) for i in range(1, n)), (n, k)
+        assert harmonic_q_series(n, (1,), q=1) == harmonic(n - 1), n
 
 
 def test_harmonic_q_series_rejects_bad_parts():
