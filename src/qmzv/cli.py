@@ -311,11 +311,24 @@ def _build_parser() -> _Parser:
 _PARSER = None  # built by the first main() call, not at import
 
 
+def _join_negative_q(argv) -> list:
+    """argv with a ``--q`` token and a following value that starts with a
+    single "-" joined as ``--q=-5/7``: argparse reads such a value as an
+    option unless it looks like a plain negative number."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] == "--q" and token.startswith("-") and not token.startswith("--"):
+            joined[-1] = f"--q={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = _build_parser()
-    args = _PARSER.parse_args(argv)
+    args = _PARSER.parse_args(_join_negative_q(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "value":
             return cmd_value(args)

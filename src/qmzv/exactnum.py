@@ -13,8 +13,10 @@ powers; the log side of both loops is weighted, k [t^k] log.
 behind every ``UniPoly`` product and the field products of ``cyclo``:
 Kronecker substitution when every coefficient is exactly ``int`` and the
 shorter operand has ``_KRONECKER_MIN_LEN`` coefficients, the schoolbook loop
-otherwise.  The substitution is three shared helpers: ``kronecker_width``
-gives the bytes per coefficient for a coefficient bound, ``kronecker_pack``
+otherwise.  The symbolic-q Stirling fill of ``qstirling`` runs no product:
+it multiplies by ([i]_q)^s with window sums on the int coefficients.  The
+substitution is three shared helpers: ``kronecker_width`` gives the bytes
+per coefficient for a coefficient bound, ``kronecker_pack``
 evaluates an integer polynomial at q = 2^(8w), and ``kronecker_unpack`` reads
 the coefficients back; ``qstirling.orthogonality_check`` packs each symbolic
 triangle entry once with them and sums plain ints, and ``zeta.zeta_brute``

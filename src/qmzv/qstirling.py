@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, chain, islice, repeat
 from threading import Lock, RLock
 
 from .cyclo import CycloCtx, cyclo_ctx
@@ -182,12 +182,14 @@ class StirlingTable:
         self._lock = RLock()
         self._cols = [None] * r  # columns below r vanish off the diagonal
         # _weights[i - r] is ([i]_q)^s: no recurrence multiplies by an index
-        # below r, so none of those is ever computed
+        # below r, so none of those is ever computed.  At a symbolic q
+        # ``_fill`` reads no weight; only the closed-form oracles do.
         self._weights = []
         self._qnums = qnums_from(q, r)  # yields [r + len(_weights)]_q next
 
     def weight(self, i: int):
-        """([i]_q)^s for i >= r, the recurrence multiplier."""
+        """([i]_q)^s for i >= r: the recurrence multiplier at a rational or
+        root-of-unity q, and the closed-form oracles' factor at every q."""
         if i < self.r:
             raise BadParams("weight index must be >= r")
         weights = self._weights
@@ -215,20 +217,44 @@ class StirlingTable:
 
         Entry (i, j) depends on (i-1, j-1) and (i-1, j), so these rows are
         exactly the dependency cone of (n, k): the fill memoizes what the
-        plain recursion would.
+        plain recursion would.  At a symbolic q the product with the weight
+        is ``_times_qnum_power`` on the int coefficients, and the left entry
+        is added on the same list.
         """
         with self._lock:
             cols = self._cols
             while len(cols) <= k:
                 cols.append([self.q.one()])
             first = self.kind == "first"
+            symbolic = isinstance(self.q, SymbolicQ)
             left = None  # column r - 1 vanishes below its diagonal
             for j in range(self.r, k + 1):
                 col = cols[j]
                 for i in range(j + len(col), n - (k - j) + 1):
-                    w = self.weight(i - 1 if first else j)
-                    col.append((0 if left is None else left[i - j]) + w * col[-1])
+                    index = i - 1 if first else j
+                    if symbolic:
+                        coeffs = _times_qnum_power(col[-1].coeffs, index, self.s)
+                        if left is not None:
+                            # never longer than coeffs: each product in
+                            # (i-1, j-1) less its top factor is one in
+                            # (i-1, j), and no factor tops the weight's degree
+                            addend = left[i - j].coeffs
+                            coeffs[: len(addend)] = map(operator.add, coeffs, addend)
+                        col.append(UniPoly(coeffs))
+                    else:
+                        col.append((0 if left is None else left[i - j]) + self.weight(index) * col[-1])
                 left = col
+
+
+def _times_qnum_power(coeffs, i: int, s: int) -> list:
+    """The coefficients of a(q) ([i]_q)^s, i >= 1, from those of a(q), as s
+    window sums of width i: coefficient t of a(q) [i]_q is a_(t-i+1) + ... +
+    a_t, the prefix sum to t less the prefix sum to t - i."""
+    pad = [0] * (i - 1)
+    for _ in range(s):
+        sums = list(accumulate(chain(coeffs, pad)))
+        coeffs = list(map(operator.sub, sums, chain(repeat(0, i), sums)))
+    return coeffs
 
 
 _TABLES: dict = {}

@@ -162,6 +162,21 @@ def test_table_bad_q_point_exits_one(capsys):
         assert code == 1 and out == "" and err.startswith("error:")
 
 
+def test_table_negative_fraction_q_is_read_as_a_value(capsys):
+    # argparse alone takes "-5/7" for an option and exits 1 with "expected one argument"
+    for kind in ("stirling1", "stirling2"):
+        joined = run_cli(capsys, "table", kind, "--q=-5/7", "--n-max", "5")
+        split = run_cli(capsys, "table", kind, "--q", "-5/7", "--n-max", "5")
+        assert joined[0] == 0 and joined[1]
+        assert split[:2] == joined[:2], kind
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmzv", "table", "stirling2", "--q", "-5/7", "--n-max", "5"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, run_cli(capsys, "table", "stirling2", "--q=-5/7", "--n-max", "5")[1])
+
+
 def test_table_stirling_classical(capsys):
     code, out, _ = run_cli(
         capsys, "table", "stirling1", "--r", "1", "--s", "1", "--q", "1",

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from qmzv import qstirling
+from qmzv import exactnum, qstirling
 from qmzv.cyclo import cyclo_ctx
 from qmzv.exactnum import UniPoly, kronecker_unpack, kronecker_width
 from qmzv.qstirling import (
@@ -550,6 +551,58 @@ def test_bottom_up_fill_computes_what_the_recursion_computes():
                     for t, v in enumerate(col) if t >= 1
                 }
                 assert memo == ref_memo
+
+
+def test_times_qnum_power_is_the_product_with_the_weight():
+    from qmzv.qstirling import _times_qnum_power
+
+    rng = random.Random(29)
+    for i in range(1, 21):
+        for s in range(1, 5):
+            for length in (0, 1, rng.randint(2, 40)):
+                coeffs = [rng.randint(-10**6, 10**6) for _ in range(length)]
+                want = UniPoly(coeffs) * qnum(i, SYM) ** s
+                assert UniPoly(_times_qnum_power(coeffs, i, s)) == want, (i, s, coeffs)
+
+
+def test_symbolic_fill_runs_no_polynomial_product(monkeypatch):
+    # fresh tables for this test only; monkeypatch puts the shared ones back
+    monkeypatch.setattr(qstirling, "_TABLES", {})
+
+    def refuse(*args):
+        raise AssertionError("a polynomial product in a symbolic fill")
+
+    monkeypatch.setattr(exactnum, "poly_mul", refuse)
+    monkeypatch.setattr(UniPoly, "__mul__", refuse)
+    for r, s in ((1, 1), (2, 3), (3, 2)):
+        for n in range(r, 13):
+            for k in range(n + 1):
+                stirling1(n, k, r, s, SYM)
+                stirling2(n, k, r, s, SYM)
+
+
+def _weight_recurrence(kind, r, s, n_max):
+    # the triangle {(n, k): entry} by the plain recurrence at a symbolic q:
+    # (n-1, k-1) + ([i]_q)^s (n-1, k), i = n-1 for the first kind, k for the second
+    tri = {}
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            if n == k:
+                tri[n, k] = UniPoly((1,))
+            elif k < r:
+                tri[n, k] = UniPoly()
+            else:
+                w = qnum(n - 1 if kind == "first" else k, SYM) ** s
+                tri[n, k] = tri[n - 1, k - 1] + w * tri[n - 1, k]
+    return tri
+
+
+def test_symbolic_fill_equals_the_weight_recurrence():
+    for kind, fn in (("first", stirling1), ("second", stirling2)):
+        for r in (1, 2, 3):
+            for s in (1, 2, 3, 4):
+                for (n, k), want in _weight_recurrence(kind, r, s, 16).items():
+                    assert fn(n, k, r, s, SYM) == want, (kind, r, s, n, k)
 
 
 def test_rstirling_deep_entry_has_no_recursion_limit():
