@@ -48,7 +48,6 @@ from .seqlib import (
     bernoulli_order,
     degen_bernoulli,
     degen_bernoulli_poly,
-    elem_from_power_sums,
     harmonic,
     hyperharmonic,
     norlund,

@@ -1,7 +1,8 @@
-"""Special sequences: complete Bell polynomials, the five-route sequence
-transform pair (multinomial sum / Toeplitz-Hessenberg determinants /
-convolution recurrences), harmonic and hyperharmonic numbers, degenerate
-Bernoulli numbers, and higher-order Bernoulli / Norlund numbers.
+"""Special sequences: complete Bell polynomials, the sequence transform pair
+(four forward routes: convolution recurrence / Toeplitz-Hessenberg
+determinant / Bell polynomial / multinomial sum; two inverse: recurrence /
+determinant), harmonic and hyperharmonic numbers, degenerate Bernoulli
+numbers, and higher-order Bernoulli / Norlund numbers.
 
 Both Bell and determinant transforms run on plain ints over one graded
 common denominator.  Give x_j the weight j.  Then Y_n is homogeneous of
@@ -13,8 +14,8 @@ matrices of the determinant routes are graded the same way: entry (i, j)
 has weight i - j + 1 and the superdiagonal weight 0, so scaling row i by
 D^(i+1) and column j by D^(-j) gives an int matrix whose determinant is D^d
 times the original.  ``_graded`` computes the X_j and D once per input, and
-each transform makes one Fraction, at the end.  So ``bell_complete`` (and
-``elem_from_power_sums`` through it) and the determinant routes of
+each transform makes one Fraction, at the end.  So ``bell_complete``, the
+Bell route of ``seq_transform_forward`` and the determinant routes of
 ``seq_transform_forward`` and ``seq_transform_inverse`` take ints and
 Fractions only; the recurrence and partition routes stay generic over any
 coefficient ring.
@@ -58,6 +59,14 @@ def _partition_multiplicities(n: int):
     yield from rec(n, n)
 
 
+def _check_order(order: int, given: Sequence, name: str, noun: str) -> None:
+    """Refuse a negative order, and fewer than ``order`` inputs."""
+    if order < 0:
+        raise ValueError(f"need {name} >= 0")
+    if len(given) < order:
+        raise InsufficientInput(f"need {order} {noun}, got {len(given)}")
+
+
 def _graded(xs: Sequence):
     """``(X, D)`` for the weight-graded rationals x_1, ..., x_d in ``xs``:
     D is the lcm of their denominators and X_j = x_j D^j, an exact int
@@ -83,10 +92,7 @@ def bell_complete(n: int, xs: Sequence):
     Y_{t+1} = sum_k C(t, k) Y_{t-k} x_{k+1}, run on the graded ints
     X_j = x_j D^j of :func:`_graded`; Y_n(x) = Y_n(X) / D^n by weight.
     """
-    if n < 0:
-        raise ValueError("need n >= 0")
-    if len(xs) < n:
-        raise InsufficientInput(f"need {n} inputs, got {len(xs)}")
+    _check_order(n, xs, "n", "inputs")
     xs, d = _graded(xs[:n])
     ys = [1]
     for t in range(n):
@@ -100,10 +106,7 @@ def bell_partition_sum(n: int, xs: Sequence):
     Oracle path (factorial cost); each partition with multiplicities
     (i_1, i_2, ...) contributes n!/(prod i_j!) * prod (x_j / j!)^(i_j).
     """
-    if n < 0:
-        raise ValueError("need n >= 0")
-    if len(xs) < n:
-        raise InsufficientInput(f"need {n} inputs, got {len(xs)}")
+    _check_order(n, xs, "n", "inputs")
     if n == 0:
         return Fraction(1)
     xs = [fractionize(x) for x in xs]
@@ -118,29 +121,13 @@ def bell_partition_sum(n: int, xs: Sequence):
     return total
 
 
-def elem_from_power_sums(g: Sequence, big_k: int):
-    """K-th elementary symmetric value from power sums g_1, g_2, ...
-
-    Equals (1/K!) Y_K(g_1, -1! g_2, 2! g_3, -3! g_4, ...).
-    """
-    if big_k == 0:
-        return Fraction(1)
-    if len(g) < big_k:
-        raise InsufficientInput(f"need {big_k} power sums, got {len(g)}")
-    # Y_K is graded: with the ints G_j = g_j D^j of ``_graded``, the Bell
-    # arguments (-1)^(j-1) (j-1)! G_j are ints too, and Y_K of them is D^K
-    # times Y_K of the (-1)^(j-1) (j-1)! g_j
-    graded, d = _graded(g[:big_k])
-    return bell_complete(big_k, _newton_bell_args(graded, big_k)) / (d**big_k * math.factorial(big_k))
-
-
 def _newton_bell_args(a: Sequence, m: int):
     """x_j = (-1)^(j-1) (j-1)! a_j for j = 1..m, so that Y_m(x)/m! is the
     m-th elementary symmetric value of the power sums a_1, a_2, ..."""
     return [(-1) ** j * math.factorial(j) * a[j] for j in range(m)]
 
 
-_FORWARD_ROUTES = ("recurrence", "determinant", "partition")
+_FORWARD_ROUTES = ("recurrence", "determinant", "bell", "partition")
 _INVERSE_ROUTES = ("recurrence", "determinant")
 
 
@@ -162,21 +149,22 @@ def seq_transform_forward(a: Sequence, m: int, route: str = "recurrence"):
     """b_m from a_1..a_m (both sequences implicitly start with index 0 = 1).
 
     The pair (a, b) is linked Newton-style: m b_m = sum_i (-1)^(i-1) a_i
-    b_{m-i}.  Routes: "recurrence" (that convolution, run by
+    b_{m-i}, so b_m is the m-th elementary symmetric value of the power
+    sums a_1, a_2, ...  Four routes: "recurrence" (that convolution, run by
     :func:`exactnum.newton_exp` on g_i = (-1)^(i-1) a_i), "determinant" (the
     (1/m!)-scaled Toeplitz-Hessenberg determinant with superdiagonal
-    1..m-1), "partition" (Y_m(x)/m! summed over the partitions of m by
-    :func:`bell_partition_sum`, x_j = (-1)^(j-1) (j-1)! a_j).
+    1..m-1), and Y_m(x)/m! with x_j = (-1)^(j-1) (j-1)! a_j, either by the
+    binomial convolution of :func:`bell_complete` ("bell") or summed over
+    the partitions of m by :func:`bell_partition_sum` ("partition").
 
-    The determinant route takes int or Fraction a_i only.  Its matrix is
-    built on the graded ints A_i = a_i D^i of :func:`_graded`: entry (i, j)
-    of weight i - j + 1 becomes A_(i-j+1) and the superdiagonal stays, which
-    scales the determinant by D^m, so b_m = det / (D^m m!).
+    The determinant and Bell routes take int or Fraction a_i only, and run
+    on the graded ints A_i = a_i D^i of :func:`_graded`.  The determinant's
+    entry (i, j) of weight i - j + 1 becomes A_(i-j+1) and the
+    superdiagonal stays, which scales the determinant by D^m; the Bell
+    arguments (-1)^(j-1) (j-1)! A_j are ints of weight j, which scales Y_m
+    by D^m.  Either way b_m = value / (D^m m!).
     """
-    if m < 0:
-        raise ValueError("need m >= 0")
-    if len(a) < m:
-        raise InsufficientInput(f"need {m} terms, got {len(a)}")
+    _check_order(m, a, "m", "terms")
     if route not in _FORWARD_ROUTES:
         raise ValueError(f"unknown route {route!r}")
     if m == 0:
@@ -185,6 +173,9 @@ def seq_transform_forward(a: Sequence, m: int, route: str = "recurrence"):
         graded, d = _graded(a[:m])
         det = det_hessenberg(_hessenberg(graded, graded, range(1, m)))
         return Fraction(det, d**m * math.factorial(m))
+    if route == "bell":
+        graded, d = _graded(a[:m])
+        return bell_complete(m, _newton_bell_args(graded, m)) / (d**m * math.factorial(m))
     a = [fractionize(x) for x in a[:m]]
     if route == "partition":
         return bell_partition_sum(m, _newton_bell_args(a, m)) / Fraction(math.factorial(m))
@@ -202,10 +193,7 @@ def seq_transform_inverse(b: Sequence, n: int, route: str = "recurrence"):
     graded ints B_j = b_j D^j of :func:`_graded`, graded as in
     :func:`seq_transform_forward`: a_n = det / D^n.
     """
-    if n < 0:
-        raise ValueError("need n >= 0")
-    if len(b) < n:
-        raise InsufficientInput(f"need {n} terms, got {len(b)}")
+    _check_order(n, b, "n", "terms")
     if route not in _INVERSE_ROUTES:
         raise ValueError(f"unknown route {route!r}")
     if n == 0:

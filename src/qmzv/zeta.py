@@ -86,7 +86,6 @@ from .qstirling import (
 from .seqlib import (
     _prefix,
     degen_bernoulli_series,
-    elem_from_power_sums,
     seq_transform_forward,
     seq_transform_inverse,
 )
@@ -418,24 +417,23 @@ def zeta_via_stirling(n: int, m: int, s: int) -> ZetaValue:
     return ZetaValue(val, "stirling", (n, m, s))
 
 
-def _single_index_sequence(n: int, s: int, j_max: int):
-    return [_zeta_single(n, j * s) for j in range(1, j_max + 1)]
+def _single_index_transform(n: int, m: int, s: int, route: str, method: str) -> ZetaValue:
+    """Z_n(zeta_n; m, s) as the forward sequence transform, by ``route``, of
+    the single-index values a_j = Z_n(zeta_n; 1, js), j = 1..m."""
+    _validate(n, m, s)
+    a = [_zeta_single(n, j * s) for j in range(1, m + 1)]
+    return ZetaValue(seq_transform_forward(a, m, route=route), method, (n, m, s))
 
 
 def zeta_bell(n: int, m: int, s: int) -> ZetaValue:
     """(1/m!) Y_m(a_1, -1! a_2, 2! a_3, ...) with a_j = Z_n(zeta_n; 1, js)."""
-    _validate(n, m, s)
-    val = elem_from_power_sums(_single_index_sequence(n, s, m), m)
-    return ZetaValue(val, "bell", (n, m, s))
+    return _single_index_transform(n, m, s, "bell", "bell")
 
 
 def zeta_det(n: int, m: int, s: int) -> ZetaValue:
     """(1/m!) times the Toeplitz-Hessenberg determinant with first column
     Z_n(zeta_n; 1, js) and superdiagonal 1, 2, ..., m-1."""
-    _validate(n, m, s)
-    a = _single_index_sequence(n, s, m)
-    val = seq_transform_forward(a, m, route="determinant")
-    return ZetaValue(val, "det", (n, m, s))
+    return _single_index_transform(n, m, s, "determinant", "det")
 
 
 def zeta_row_from_column(n: int, m: int, s: int) -> Fraction:

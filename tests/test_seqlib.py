@@ -16,7 +16,6 @@ from qmzv.seqlib import (
     bernoulli_order,
     degen_bernoulli,
     degen_bernoulli_poly,
-    elem_from_power_sums,
     harmonic,
     hyperharmonic,
     norlund,
@@ -91,13 +90,15 @@ def test_elem_from_power_sums_pair():
     rng = random.Random(7)
     for _ in range(10):
         a, b = rand_frac(rng), rand_frac(rng)
-        assert elem_from_power_sums([a + b, a * a + b * b], 2) == a * b
+        assert seq_transform_forward([a + b, a * a + b * b], 2, route="bell") == a * b
 
 
 def test_elem_from_power_sums_explicit():
     g = [F(6), F(14), F(36)]  # power sums of {1, 2, 3}
-    assert elem_from_power_sums(g, 2) == 11
-    assert elem_from_power_sums(g, 0) == 1
+    assert seq_transform_forward(g, 2, route="bell") == 11
+    assert seq_transform_forward(g, 0, route="bell") == 1
+    with pytest.raises(InsufficientInput):
+        seq_transform_forward(g, 4, route="bell")
 
 
 def test_elem_from_power_sums_random_multisets():
@@ -110,7 +111,7 @@ def test_elem_from_power_sums_random_multisets():
                 (math.prod(c) for c in combinations(vals, k)),
                 start=F(0),
             ) if k else F(1)
-            assert elem_from_power_sums(g, k) == direct
+            assert seq_transform_forward(g, k, route="bell") == direct
 
 
 # -------------------------------------------------------- sequence transform
@@ -120,22 +121,22 @@ def test_transform_small_cases():
     assert seq_transform_forward([F(1), F(0)], 2, route="determinant") == F(1, 2)
     rng = random.Random(13)
     a = [rand_frac(rng) for _ in range(4)]
-    for route in ("recurrence", "determinant", "partition"):
+    for route in ("recurrence", "determinant", "bell", "partition"):
         assert seq_transform_forward(a, 1, route=route) == a[0]
     b = [rand_frac(rng) for _ in range(3)]
     assert seq_transform_inverse(b, 1) == b[0]
 
 
 def test_transform_routes_agree():
+    routes = ("recurrence", "determinant", "bell", "partition")
     rng = random.Random(17)
     for _ in range(20):
         a = [rand_frac(rng) for _ in range(rng.randint(1, 6))]
         for m in range(1, len(a) + 1):
-            vals = {
-                seq_transform_forward(a, m, route=r)
-                for r in ("recurrence", "determinant", "partition")
-            }
-            assert len(vals) == 1
+            assert len({seq_transform_forward(a, m, route=r) for r in routes}) == 1
+    # m = 16, the largest order CI runs through zeta_bell
+    a = [rand_frac(rng) for _ in range(16)]
+    assert len({seq_transform_forward(a, 16, route=r) for r in routes}) == 1
 
 
 def test_transform_inverse_routes_agree():
@@ -166,7 +167,7 @@ def test_transform_newton_identity_semantics():
 
 def test_negative_orders_are_refused_by_every_route():
     a = [F(1), F(2), F(3)]
-    for route in ("recurrence", "determinant", "partition"):
+    for route in ("recurrence", "determinant", "bell", "partition"):
         with pytest.raises(ValueError, match="need m >= 0"):
             seq_transform_forward(a, -1, route=route)
     for route in ("recurrence", "determinant"):
@@ -228,7 +229,7 @@ def test_graded_transforms_refuse_values_that_are_not_rational():
 
     cases = [
         (lambda: bell_complete(2, [F(1), 0.5]), "float"),
-        (lambda: elem_from_power_sums([F(1), 2.0], 2), "float"),
+        (lambda: seq_transform_forward([F(1), 2.0], 2, route="bell"), "float"),
         (lambda: seq_transform_forward([UniPoly((0, 1))], 1, route="determinant"), "UniPoly"),
         (lambda: seq_transform_inverse([F(1), cyclo_ctx(5).zeta()], 2, route="determinant"), "CycloElem"),
     ]

@@ -9,7 +9,7 @@ from engine_seams import mismatches
 from qmzv.cyclo import CycloElem, as_rational, cyclo_ctx
 from qmzv.exactnum import UniPoly, tuple_product_sum
 from qmzv.qstirling import BadParams, rstirling1
-from qmzv.seqlib import _slot, elem_from_power_sums, harmonic
+from qmzv.seqlib import _slot, harmonic, seq_transform_forward
 from qmzv.zeta import (
     REFERENCE_POLYNOMIALS,
     ROW_ENGINES,
@@ -249,7 +249,7 @@ def _bernoulli_oracle(n, m, s):
     """Z_n(zeta_n; m, s) = e_m of the power sums Z_n(zeta_n; 1, js), each
     from the degenerate Bernoulli numbers: no cyclotomic field and no row
     engine."""
-    return elem_from_power_sums([zeta_1s_degenerate_bernoulli(n, j * s) for j in range(1, m + 1)], m)
+    return seq_transform_forward([zeta_1s_degenerate_bernoulli(n, j * s) for j in range(1, m + 1)], m, route="bell")
 
 
 @pytest.mark.parametrize("n, m_max, s", [(1001, 3, 20), (97, 8, 12), (61, 3, 10), (20011, 3, 3)])
@@ -293,6 +293,20 @@ def test_det_examples():
     assert zeta_det(11, 1, 2).value == _zeta_single(11, 2)
     assert zeta_det(6, 2, 1).value == zeta_brute(6, 2, 1).value
     assert zeta_det(9, 4, 1).value == 14
+
+
+def test_bell_and_det_are_routes_of_the_sequence_transform(monkeypatch):
+    from qmzv import zeta as zmod
+
+    routes = []
+
+    def recording(a, m, route="recurrence"):
+        routes.append(route)
+        return seq_transform_forward(a, m, route=route)
+
+    monkeypatch.setattr(zmod, "seq_transform_forward", recording)
+    assert zeta_bell(8, 3, 2).value == zeta_det(8, 3, 2).value == zeta_brute(8, 3, 2).value
+    assert routes == ["bell", "determinant"]
 
 
 def test_row_from_column_examples():
