@@ -87,10 +87,9 @@ def _render_rows(fmt, header, rows, out, json_payload):
         writer.writerows(rows)
         _emit(buf.getvalue(), out)
     else:
-        widths = [max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))]
-        lines = ["  ".join(str(c).ljust(w) for c, w in zip(header, widths)).rstrip()]
-        for r in rows:
-            lines.append("  ".join(str(c).ljust(w) for c, w in zip(r, widths)).rstrip())
+        cells = [[str(c) for c in r] for r in [header] + rows]
+        widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in cells]
         _emit("\n".join(lines) + "\n", out)
 
 
@@ -139,9 +138,15 @@ def cmd_value(args) -> int:
 
 
 def _value_rows(index, values, approx):
-    """Header and rows [i, value] (plus a decimal approximation) of a list."""
+    """Header, rows [i, value] (plus a decimal approximation) and the value
+    strings of a list, each value formatted once for the rows and the JSON."""
+    texts = [str(v) for v in values]
     header = [index, "value"] + (["approx"] if approx else [])
-    return header, [[i, str(v)] + ([repr(_approx(v))] if approx else []) for i, v in enumerate(values)]
+    rows = [[i, text] for i, text in enumerate(texts)]
+    if approx:
+        for row, v in zip(rows, values):
+            row.append(repr(_approx(v)))
+    return header, rows, texts
 
 
 def _triangle(n_max, entry):
@@ -171,8 +176,8 @@ def _table_rows(args, q):
     n_max = args.n_max
     if args.table == "zeta":
         values = [zv.value for zv in zeta.zeta_product(args.n, args.s, args.n - 1)]
-        header, rows = _value_rows("m", values, args.approx)
-        payload = {"kind": "zeta", "n": args.n, "s": args.s, "values": [str(v) for v in values]}
+        header, rows, texts = _value_rows("m", values, args.approx)
+        payload = {"kind": "zeta", "n": args.n, "s": args.s, "values": texts}
     elif args.table in ("stirling1", "stirling2"):
         fn = stirling1 if args.table == "stirling1" else stirling2
         rows, values = _triangle(n_max, lambda n, k: _format_value(fn(n, k, r=args.r, s=args.s, q=q)))
@@ -189,8 +194,8 @@ def _table_rows(args, q):
         else:
             vals = seqlib._prefix(n_max, seqlib._norlund_numbers)[: n_max + 1]
             label = "norlund"
-        header, rows = _value_rows("n", vals, args.approx)
-        payload = {"kind": "bernoulli", "family": label, "values": [str(v) for v in vals]}
+        header, rows, texts = _value_rows("n", vals, args.approx)
+        payload = {"kind": "bernoulli", "family": label, "values": texts}
     return header, rows, payload
 
 

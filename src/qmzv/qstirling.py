@@ -6,7 +6,8 @@ generic over the evaluation point q, which can be
 * symbolic (entries are integer polynomials in q),
 * an exact rational (entries are Fractions; q = 1 is fine because the
   q-number [i]_q is computed as the sum 1 + q + ... + q^(i-1), never as a
-  quotient), or
+  quotient; the triangles store and fill ints graded by powers of q's
+  denominator, see :class:`StirlingTable`), or
 * a primitive n-th root of unity (entries are cyclotomic field elements).
 
 Boundary conventions used throughout: entries vanish for k > n and for
@@ -168,6 +169,19 @@ class StirlingTable:
     diagonal 1 at t = 0.  Columns only grow, under one reentrant lock per
     table, so a read that finds its entry never sees a half-written value and
     racing fills append each entry once.
+
+    At a rational q = a/b (b >= 1, a prime to b) the column store holds ints:
+    ``col[t]`` is F(k + t, k) = E(k + t, k) b^g(k + t, k), with g(i, j) =
+    s (C(i-1, 2) - C(j-1, 2)) for the first kind and s (j-1) (i-j) for the
+    second.  The weight ([t]_q)^s is N_t / b^(s(t-1)), N_t = ([t]_q b^(t-1))^s
+    an int.  g(i, j) - g(i-1, j) is the power of b under the weight that
+    multiplies (i-1, j) in the recurrence, and g(i, j) - g(i-1, j-1) = s(i-j).
+    So E(i, j) = E(i-1, j-1) + w E(i-1, j) becomes
+    F(i, j) = F(i-1, j-1) b^(s(i-j)) + N F(i-1, j), on ints.  [t]_q b^(t-1)
+    is congruent to a^(t-1) modulo b, so N_t is prime to b, and by induction
+    down the column so is every F: it is the reduced numerator, and
+    ``entry`` returns the Fraction F / b^g.  At q = 1 the fill is on ints
+    alone.
     """
 
     def __init__(self, kind: str, r: int, s: int, q: QPoint):
@@ -183,9 +197,12 @@ class StirlingTable:
         self._cols = [None] * r  # columns below r vanish off the diagonal
         # _weights[i - r] is ([i]_q)^s: no recurrence multiplies by an index
         # below r, so none of those is ever computed.  At a symbolic q
-        # ``_fill`` reads no weight; only the closed-form oracles do.
+        # ``_fill`` reads no weight, and at a rational q only its numerator;
+        # the closed-form oracles read the weights themselves.
         self._weights = []
         self._qnums = qnums_from(q, r)  # yields [r + len(_weights)]_q next
+        # b of q = a/b, by which the column store is graded; None off Q
+        self._den = q.value.denominator if isinstance(q, RationalQ) else None
 
     def weight(self, i: int):
         """([i]_q)^s for i >= r: the recurrence multiplier at a rational or
@@ -209,7 +226,14 @@ class StirlingTable:
         cols = self._cols
         if k >= len(cols) or n - k >= len(cols[k]):
             self._fill(n, k)
-        return cols[k][n - k]
+        value = cols[k][n - k]
+        if self._den is None:
+            return value
+        if self.kind == "first":
+            g = self.s * (math.comb(n - 1, 2) - math.comb(k - 1, 2))
+        else:
+            g = self.s * (k - 1) * (n - k)
+        return Fraction(value, self._den**g)
 
     def _fill(self, n: int, k: int):
         """Extend columns r..k, in order, so that column j reaches row
@@ -219,14 +243,17 @@ class StirlingTable:
         exactly the dependency cone of (n, k): the fill memoizes what the
         plain recursion would.  At a symbolic q the product with the weight
         is ``_times_qnum_power`` on the int coefficients, and the left entry
-        is added on the same list.
+        is added on the same list.  At a rational q the fill runs on the
+        graded ints of the class docstring.
         """
         with self._lock:
             cols = self._cols
+            rational = self._den is not None
             while len(cols) <= k:
-                cols.append([self.q.one()])
+                cols.append([1 if rational else self.q.one()])
             first = self.kind == "first"
             symbolic = isinstance(self.q, SymbolicQ)
+            step = self._den**self.s if rational else None  # b^s
             left = None  # column r - 1 vanishes below its diagonal
             for j in range(self.r, k + 1):
                 col = cols[j]
@@ -241,6 +268,9 @@ class StirlingTable:
                             addend = left[i - j].coeffs
                             coeffs[: len(addend)] = map(operator.add, coeffs, addend)
                         col.append(UniPoly(coeffs))
+                    elif rational:
+                        below = 0 if left is None else left[i - j] * step ** (i - j)
+                        col.append(below + self.weight(index).numerator * col[-1])
                     else:
                         col.append((0 if left is None else left[i - j]) + self.weight(index) * col[-1])
                 left = col
@@ -479,8 +509,8 @@ def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = Symbolic
 
 def rstirling1(n: int, k: int, r: int) -> int:
     """Classical r-Stirling number of the first kind: the first-kind table at
-    level 1 and q = 1, where [n, k] = [n-1, k-1] + (n-1) [n-1, k].  It shares
-    that table's column store and lock."""
+    level 1 and q = 1, where [n, k] = [n-1, k-1] + (n-1) [n-1, k], an int
+    fill.  It shares that table's column store and lock."""
     if r < 1:
         raise BadParams("need r >= 1")
     return int(_table("first", r, 1, RationalQ(1)).entry(n, k))

@@ -4,21 +4,27 @@ determinant / Bell polynomial / multinomial sum; two inverse: recurrence /
 determinant), harmonic and hyperharmonic numbers, degenerate Bernoulli
 numbers, and higher-order Bernoulli / Norlund numbers.
 
-Both Bell and determinant transforms run on plain ints over one graded
-common denominator.  Give x_j the weight j.  Then Y_n is homogeneous of
-weight n: Y_n(c x_1, c^2 x_2, ...) = c^n Y_n(x), since every monomial
-x_(j_1) ... x_(j_k) of Y_n has j_1 + ... + j_k = n.  With D the lcm of the
-denominators of x_1, ..., x_n, each den(x_j) divides D and so D^j, so
-X_j = x_j D^j is an exact int and Y_n(x) = Y_n(X) / D^n.  The Hessenberg
-matrices of the determinant routes are graded the same way: entry (i, j)
-has weight i - j + 1 and the superdiagonal weight 0, so scaling row i by
-D^(i+1) and column j by D^(-j) gives an int matrix whose determinant is D^d
-times the original.  ``_graded`` computes the X_j and D once per input, and
-each transform makes one Fraction, at the end.  So ``bell_complete``, the
-Bell route of ``seq_transform_forward`` and the determinant routes of
-``seq_transform_forward`` and ``seq_transform_inverse`` take ints and
-Fractions only; the recurrence and partition routes stay generic over any
-coefficient ring.
+The Bell, partition and determinant transforms run on plain ints over one
+graded common denominator.  Give x_j the weight j.  Then Y_n is homogeneous
+of weight n: Y_n(c x_1, c^2 x_2, ...) = c^n Y_n(x), since every monomial
+x_(j_1) ... x_(j_k) of Y_n has j_1 + ... + j_k = n.  So for any D with
+den(x_j) | D^j for every j, X_j = x_j D^j is an exact int and
+Y_n(x) = Y_n(X) / D^n.  ``_graded`` takes D as the lcm of d_1, ..., d_n,
+d_j = den(x_j) / gcd(den(x_j), d_1 ... d_(j-1)): den(x_j) divides
+d_1 ... d_j and so D^j.  D divides the lcm of the denominators, and is far
+smaller for inputs whose denominators grow with the index: 1/(j+1)! gives
+lcm(2, ..., n+1), not (n+1)!, and Z_30(zeta_30; 1, 2j), j <= 12, gives
+D = 60 where the lcm has 57 bits.  The Hessenberg matrices of the
+determinant routes are graded the same way: entry (i, j) has weight
+i - j + 1 and the superdiagonal weight 0, so scaling row i by D^(i+1) and
+column j by D^(-j) gives an int matrix whose determinant is D^d times the
+original.  ``_graded`` computes the X_j and D once per input, and each
+transform makes one Fraction, at the end.  So ``bell_complete``, the Bell
+and partition routes of ``seq_transform_forward`` and the determinant
+routes of ``seq_transform_forward`` and ``seq_transform_inverse`` take ints
+and Fractions only.  The recurrence routes stay generic over any
+coefficient ring and run on Fractions: they are the one route of each
+transform that shares no arithmetic with the graded ones.
 
 Harmonic, degenerate Bernoulli (per m, and in lambda), higher-order Bernoulli
 (per alpha) and Norlund numbers each read one growing list through ``_prefix``.
@@ -68,14 +74,25 @@ def _check_order(order: int, given: Sequence, name: str, noun: str) -> None:
 
 
 def _graded(xs: Sequence):
-    """``(X, D)`` for the weight-graded rationals x_1, ..., x_d in ``xs``:
-    D is the lcm of their denominators and X_j = x_j D^j, an exact int
-    because den(x_j) divides D^j.  Anything but an int or a Fraction is
-    refused with a TypeError."""
+    """``(X, D)`` for the weight-graded rationals x_1, ..., x_d in ``xs``,
+    with X_j = x_j D^j an exact int.  D is the lcm of d_1, ..., d_d, where
+    d_j = den(x_j) / gcd(den(x_j), d_1 ... d_(j-1)): den(x_j) divides
+    d_1 ... d_j, which divides D^j.  Each d_j divides den(x_j), so D divides
+    the lcm of the denominators, and denominators that grow like c^j give
+    D = c, not c^d.  Anything but an int or a Fraction is refused with a
+    TypeError."""
     for x in xs:
         if not isinstance(x, (int, Fraction)):
-            raise TypeError(f"Bell and determinant transforms take int or Fraction, not {type(x).__name__}")
-    d = math.lcm(*(x.denominator for x in xs))
+            raise TypeError(
+                f"Bell, partition and determinant transforms take int or Fraction, not {type(x).__name__}"
+            )
+    steps = []
+    covered = 1  # d_1 ... d_(j-1)
+    for x in xs:
+        den = x.denominator
+        steps.append(den // math.gcd(den, covered))
+        covered *= steps[-1]
+    d = math.lcm(*steps)
     graded = []
     scale = 1
     for x in xs:
@@ -104,21 +121,21 @@ def bell_partition_sum(n: int, xs: Sequence):
     """Y_n evaluated literally as the sum over partitions of n.
 
     Oracle path (factorial cost); each partition with multiplicities
-    (i_1, i_2, ...) contributes n!/(prod i_j!) * prod (x_j / j!)^(i_j).
+    (i_1, i_2, ...) contributes the int n!/prod (i_j! (j!)^(i_j)) times
+    prod x_j^(i_j).  Int and Fraction inputs give a Fraction.
     """
     _check_order(n, xs, "n", "inputs")
     if n == 0:
         return Fraction(1)
-    xs = [fractionize(x) for x in xs]
     total = 0
     for partition in _partition_multiplicities(n):
-        coeff = Fraction(math.factorial(n))
+        den = 1
         term = 1
         for part, mult in partition:
-            coeff /= math.factorial(mult) * math.factorial(part) ** mult
+            den *= math.factorial(mult) * math.factorial(part) ** mult
             term = term * xs[part - 1] ** mult
-        total = total + coeff * term
-    return total
+        total = total + math.factorial(n) // den * term
+    return fractionize(total)
 
 
 def _newton_bell_args(a: Sequence, m: int):
@@ -157,9 +174,9 @@ def seq_transform_forward(a: Sequence, m: int, route: str = "recurrence"):
     binomial convolution of :func:`bell_complete` ("bell") or summed over
     the partitions of m by :func:`bell_partition_sum` ("partition").
 
-    The determinant and Bell routes take int or Fraction a_i only, and run
-    on the graded ints A_i = a_i D^i of :func:`_graded`.  The determinant's
-    entry (i, j) of weight i - j + 1 becomes A_(i-j+1) and the
+    The determinant, Bell and partition routes take int or Fraction a_i
+    only, and run on the graded ints A_i = a_i D^i of :func:`_graded`.  The
+    determinant's entry (i, j) of weight i - j + 1 becomes A_(i-j+1) and the
     superdiagonal stays, which scales the determinant by D^m; the Bell
     arguments (-1)^(j-1) (j-1)! A_j are ints of weight j, which scales Y_m
     by D^m.  Either way b_m = value / (D^m m!).
@@ -173,12 +190,11 @@ def seq_transform_forward(a: Sequence, m: int, route: str = "recurrence"):
         graded, d = _graded(a[:m])
         det = det_hessenberg(_hessenberg(graded, graded, range(1, m)))
         return Fraction(det, d**m * math.factorial(m))
-    if route == "bell":
+    if route in ("bell", "partition"):
         graded, d = _graded(a[:m])
-        return bell_complete(m, _newton_bell_args(graded, m)) / (d**m * math.factorial(m))
+        bell = bell_complete if route == "bell" else bell_partition_sum
+        return bell(m, _newton_bell_args(graded, m)) / (d**m * math.factorial(m))
     a = [fractionize(x) for x in a[:m]]
-    if route == "partition":
-        return bell_partition_sum(m, _newton_bell_args(a, m)) / Fraction(math.factorial(m))
     return newton_exp([x if i % 2 else -x for i, x in enumerate(a, 1)])[m]
 
 

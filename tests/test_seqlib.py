@@ -224,6 +224,38 @@ def test_determinant_routes_equal_fraction_free_elimination_on_the_unscaled_matr
             assert seq_transform_inverse(xs, d, route="determinant") == inverse, (name, d)
 
 
+def _growing_denominators():
+    """Named inputs whose denominators grow with the index."""
+    from qmzv.zeta import _zeta_single
+
+    yield "Z_30(1, 2j)", [_zeta_single(30, 2 * j) for j in range(1, 13)]
+    yield "1/(j+1)!", [F(1, math.factorial(j + 1)) for j in range(1, 41)]
+    yield "1/j", [F(1, j) for j in range(1, 41)]
+
+
+def test_graded_denominator_grows_with_the_index_not_with_its_power():
+    # den(x_j) = 7^j needs D = 7, since 7^j divides D^j; the lcm is 7^10
+    assert seqlib._graded([F(1, 7**j) for j in range(1, 11)]) == ([1] * 10, 7)
+    for name, xs in _growing_denominators():
+        graded, d = seqlib._graded(xs)
+        assert all(type(x) is int for x in graded), name
+        assert all(x * d**j == big for j, (x, big) in enumerate(zip(xs, graded), 1)), name
+        assert math.lcm(*(x.denominator for x in xs)) % d == 0, name
+
+
+def test_every_route_agrees_on_denominators_that_grow_with_the_index():
+    for name, xs in _growing_denominators():
+        m = len(xs)
+        inverse = {seq_transform_inverse(xs, m, route=r) for r in ("recurrence", "determinant")}
+        assert len(inverse) == 1, name
+        forward = {seq_transform_forward(xs, m, route=r) for r in ("recurrence", "determinant", "bell")}
+        assert len(forward) == 1, name
+        # the partition route costs p(m) products: to m = 20
+        k = min(m, 20)
+        want = seq_transform_forward(xs, k, route="bell")
+        assert seq_transform_forward(xs, k, route="partition") == want, name
+
+
 def test_graded_transforms_refuse_values_that_are_not_rational():
     from qmzv.cyclo import cyclo_ctx
 
@@ -231,6 +263,7 @@ def test_graded_transforms_refuse_values_that_are_not_rational():
         (lambda: bell_complete(2, [F(1), 0.5]), "float"),
         (lambda: seq_transform_forward([F(1), 2.0], 2, route="bell"), "float"),
         (lambda: seq_transform_forward([UniPoly((0, 1))], 1, route="determinant"), "UniPoly"),
+        (lambda: seq_transform_forward([F(1), UniPoly((0, 1))], 2, route="partition"), "UniPoly"),
         (lambda: seq_transform_inverse([F(1), cyclo_ctx(5).zeta()], 2, route="determinant"), "CycloElem"),
     ]
     for call, name in cases:
