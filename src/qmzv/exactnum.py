@@ -128,14 +128,25 @@ def poly_mul(a: Sequence, b: Sequence) -> list:
     commutative ring (lowest degree first): one big-int product by Kronecker
     substitution when both have at least ``_KRONECKER_MIN_LEN`` coefficients,
     all exactly ``int``, else the schoolbook loop, which skips zero
-    coefficients."""
+    coefficients.  A square, ``poly_mul(a, a)``, packs once or takes each
+    cross product once: 2 a_i a_j for i < j, a_i^2 on the diagonal."""
     la, lb = len(a), len(b)
     if min(la, lb) >= _KRONECKER_MIN_LEN and all(type(c) is int for c in (*a, *b)):
         # |c_k| <= min(la, lb)·max|a|·max|b|; a zero maximum counts as 1, so
         # that the bound covers every operand coefficient too.
         w = kronecker_width(min(la, lb) * (max(map(abs, a)) or 1) * (max(map(abs, b)) or 1))
-        return kronecker_unpack(kronecker_pack(a, w) * kronecker_pack(b, w), w, la + lb - 1)
+        pa = kronecker_pack(a, w)
+        return kronecker_unpack(pa * (pa if a is b else kronecker_pack(b, w)), w, la + lb - 1)
     out = [0] * (la + lb - 1)
+    if a is b:
+        for i, ai in enumerate(a):
+            if ai != 0:
+                out[2 * i] += ai * ai
+                twice = ai + ai
+                for t, aj in enumerate(a[i + 1 :], 2 * i + 1):
+                    if aj != 0:
+                        out[t] += twice * aj
+        return out
     for i, ai in enumerate(a):
         if ai != 0:
             for t, bj in enumerate(b, i):

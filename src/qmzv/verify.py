@@ -39,15 +39,17 @@ def _brute_fits(n, m, budget) -> bool:
 
 
 def _case_routes(n, m, s, budget):
-    # the Q(zeta_n) product is the reference; the multisection, whose cost
-    # doubles with s, and the Newton engine, whose cost grows as s^2,
-    # each join when s <= 6 or when ``_product_row`` picks them
+    # the Q(zeta_n) product is the reference and the complement engine joins
+    # every case; the multisection, whose cost doubles with s, and the Newton
+    # engine, whose cost grows as s^2, each join when s <= 6 or when
+    # ``_product_row`` picks them
     engines = zeta.ROW_ENGINES
-    reference = zeta._zeta_multi(n, m, s, engines["field"])
+    reference = zeta._zeta_multi(n, m, s, zeta._field_row)
     values = {
         "stirling": zeta.zeta_via_stirling(n, m, s).value,
         "bell": zeta.zeta_bell(n, m, s).value,
         "det": zeta.zeta_det(n, m, s).value,
+        "complement": zeta._zeta_multi(n, m, s, engines["complement"]),
     }
     picked = zeta._row_engine(n, s)
     for name in ("multisection", "newton"):

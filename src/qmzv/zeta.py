@@ -20,24 +20,29 @@ return the same rational:
                            that is extended only when a larger m is read.
                            It comes from one of three engines, whichever has
                            the least cost estimate (``_row_costs``: Newton's
-                           for the prefix, the others' for the full row),
-                           and each computes only the entries up to top:
+                           for the prefix, the others' for the full row):
                            multisection of E(t) = ((1+t)^n - 1)/(nt) over
                            the s-th roots of unity, in Q(zeta_s), about
                            n (s+1) 2^s / 4 steps of degree phi(s) for a full
                            row; Newton's identities on the integers
                            e_i(v) = n^(i-1) C(n, i+1) of v_j = n/(1 - zeta^j),
-                           about n s (n-1) integer steps and no field; or the
-                           product itself in Q(zeta_n), about n^2/2
-                           multiplications of degree phi(n), always the whole
-                           row.  Small s at large n takes the first
-                           (``table zeta --n 1001 --s 2`` in a fraction of a
-                           second), the rows between the second, and s much
-                           larger than n the third, where Newton's cost
-                           grows as s^2;
+                           about n s (n-1) integer steps; or the complement
+                           Z(m, s) = e_(n-1-m)(y) / n^s with
+                           y_i = (1 - zeta^i)^s, whose power sums are
+                           constant terms of powers of (1 - x)^s modulo
+                           x^n - 1, about n/2 integer polynomial products,
+                           always the whole row.  Small s at large n takes
+                           the first (``table zeta --n 1001 --s 2`` in a
+                           fraction of a second), the rows between the
+                           second, and larger s the third (from s = 3 to 5
+                           when 16 <= n <= 101), where Newton's cost grows
+                           as s^2.  None builds Q(zeta_n): the product in
+                           Q(zeta_n), ``_field_row``, is only the reference
+                           of ``verify routes`` and of the tests;
 * ``zeta_via_stirling`` -- first-kind generalized q-Stirling identity, its
-                           denominator's power of (1 - zeta) the binomial
-                           expansion that brute shares;
+                           denominator's power of (1 - zeta) the cyclic
+                           binomial power that brute and the complement
+                           engine share;
 * ``zeta_bell``         -- complete Bell polynomial in single-index values;
 * ``zeta_det``          -- Toeplitz-Hessenberg determinant in single-index
                            values (and ``zeta_row_from_column`` inverts it),
@@ -72,6 +77,7 @@ from .exactnum import (
     newton_exp,
     newton_log,
     poly_interpolate,
+    poly_mul,
     subset_product_sums,
     tuple_product_sum,
 )
@@ -247,17 +253,92 @@ def _newton_row(top: int, n: int, s: int):
     return tuple(Fraction(c, n ** (s * m)) for m, c in enumerate(e))
 
 
+def _cyclic_mul(a: list, b: list) -> list:
+    """The product of two elements of Z[x]/(x^n - 1), each given by its n
+    coefficients: ``poly_mul``, with x^(n+r) folded onto x^r."""
+    p = poly_mul(a, b)
+    return [x + y for x, y in zip(p, p[len(a) :] + [0])]
+
+
+def _one_minus_power_cyclic(n: int, i: int, s: int) -> list:
+    """(1 - x^i)^s in Z[x]/(x^n - 1), as its n coefficients, for the
+    complement engine's step, the brute oracle's complementary rows and the
+    power of (1 - zeta) in the Stirling route's denominator.
+
+    (1 - x)^s comes from the running product C(s, k+1) = C(s, k) (s-k)/(k+1),
+    s steps on ints of up to s bits, or, when s > 4 n^2, by squaring from
+    the top bit of s, about log2(s) products whose coefficients grow to s
+    bits, each set bit then multiplying by 1 - x, one subtraction per
+    coefficient: the s^2 bit operations of the one overtake the n^2 log2(s)
+    products of the other near s = 4 n^2.  x -> x^i then moves the
+    coefficient of x^r to x^(ir mod n), which holds for any i, prime to n
+    or not."""
+    out = [0] * n
+    if s <= 4 * n * n:
+        c = 1
+        for k in range(s + 1):
+            out[i * k % n] += c
+            c = -c * (s - k) // (k + 1)
+        return out
+    power = [1] + [0] * (n - 1)
+    for bit in bin(s)[2:]:
+        power = _cyclic_mul(power, power)
+        if bit == "1":
+            # power[-1] is the coefficient of x^(n-1), which x carries to x^n = 1
+            power = [c - power[r - 1] for r, c in enumerate(power)]
+    for r, c in enumerate(power):
+        out[i * r % n] += c
+    return out
+
+
+def _complement_row(top: int, n: int, s: int):
+    """Z_n(zeta_n; m, s) for m = 0..n-1, whatever ``top``, from the
+    complementary side on integers.
+
+    The y_i = (1 - zeta_n^i)^s, i = 1..n-1, are algebraic integers with
+    prod_i y_i = n^s, so Z(m, s) = e_m(1/y) = e_(n-1-m)(y) / n^s.  The sum of
+    x^t over the n-th roots of unity x is n [n | t], and (1 - 1)^s = 0, so
+    p_j(y) = n [x^0] r_j with r_j = (1 - x)^(sj) in Z[x]/(x^n - 1) (Newton's
+    identities then give e_k(y); Macdonald, *Symmetric Functions and Hall
+    Polynomials*, I.2).  The r_a for a <= h = floor((n - 1)/2) come from
+    h - 1 products by r_1 = ``_one_minus_power_cyclic(n, 1, s)``, and every
+    p_j, j <= n - 2, is the constant term of r_a r_(j-a) with a = min(j, h):
+    a sum of n products, where r_j itself would cost n^2.  One integral
+    ``newton_exp`` pass gives e_k(y) for k <= n - 2, and e_(n-1)(y) = n^s.
+    No field is built.
+    """
+    if n == 1:
+        return (Fraction(1),)
+    den = n ** s
+    half = (n - 1) // 2
+    step = _one_minus_power_cyclic(n, 1, s)
+    powers = [[1] + [0] * (n - 1), step]
+    for _ in range(half - 1):
+        powers.append(_cyclic_mul(powers[-1], step))
+    g = []
+    for j in range(1, n - 1):
+        a, b = powers[min(j, half)], powers[j - min(j, half)]
+        # [x^0] a b, with b[-k] the coefficient of x^(n-k)
+        g.append((-1) ** (j - 1) * n * sum(a[k] * b[-k] for k in range(n)))
+    e = newton_exp(g, integral=True) + [den]
+    return tuple(Fraction(e[n - 1 - m], den) for m in range(n))
+
+
 def _row_costs(n: int, s: int, top: int | None = None) -> dict:
     """Estimated microseconds of each row engine on the cold row (n, s), the
     whole row, or only the entries m <= top where Newton builds less.
 
-    The estimates were fitted to cold whole rows timed in pairs on a 2-core
-    Xeon VM with Python 3.11.7; with K = s(n - 1), or s min(top, n - 1) for
-    Newton's prefix, they are
+    The estimates were fitted to cold whole rows timed on a 2-core Xeon VM
+    with Python 3.11.7; with K = s(n - 1), or s min(top, n - 1) for Newton's
+    prefix, they are
 
-    * ``field``, ``_field_row``: 35 + n^2 (9.4 + phi(n)^2/52) +
-      n^2 phi(n)^1.67 (sn)^1.23 / 30000, about n^2/2 products of degree
-      phi(n) whose coordinates grow with s n;
+    * ``complement``, ``_complement_row``: 24 + 0.56 n^2 s^0.24 +
+      n^3.94 s^1.57 / 175000, about n/2 products in Z[x]/(x^n - 1) whose
+      coefficients grow to s n / 2 bits, and n^2 products of smaller ints in
+      the dot products and the exp pass.  The last term was fitted to rows
+      with 4 <= n <= 101 and s up to 57564, the others to rows with
+      17 <= n <= 80 and s <= 4, timed beside ``_newton_row`` and scaled to
+      its estimate;
     * ``newton``, ``_newton_row``: 12 + w K (0.17 + K log2(n) (w + 2.5)/256000)
       with w = min(n, K + 1), about w K integer steps on power sums of up to
       K log2(n^2) bits, since the log pass reads f_i only for i <= min(n-1, K)
@@ -266,25 +347,24 @@ def _row_costs(n: int, s: int, top: int | None = None) -> dict:
       n (2^s (s+1) (17 + phi(s)^2) + 198) / 27.2, about n (s+1) 2^s / 4
       recurrence steps of degree phi(s) plus a fixed cost per entry.
 
-    All need only n, s, phi(n) and phi(s): no subset is enumerated, and 2^s
-    is formed only when s is below the bit length of the other two.  Past
-    the float range only the field product is estimated, at infinity.  The
-    multisection and field estimates stay whole-row whatever top: the field
-    product builds the whole row, and the multisection's 2^s subset orbits
-    cost the same for a short prefix.
+    All need only n, s and phi(s): no subset is enumerated, and 2^s is
+    formed only when s is below the bit length of the other two.  Past the
+    float range only the complement engine is estimated, at infinity.  The
+    multisection and complement estimates stay whole-row whatever top: the
+    complement engine builds the whole row, and the multisection's 2^s
+    subset orbits cost the same for a short prefix.
     """
-    phi = totient(n)
     big_k = s * (n - 1 if top is None else min(top, n - 1))
     width = min(n, big_k + 1)
     try:
         costs = {
-            "field": 35 + n * n * (9.4 + phi * phi / 52 + phi ** 1.67 * (s * n) ** 1.23 / 30000),
+            "complement": 24 + 0.56 * n * n * s ** 0.24 + n ** 3.94 * s ** 1.57 / 175000,
             "newton": 12 + width * big_k * (0.17 + big_k * math.log2(n) * (width + 2.5) / 256000),
         }
     except OverflowError:
-        # s n past the float range, where only the field product's slower
+        # s past the float range, where only the complement engine's slower
         # growth in s can compete
-        return {"field": math.inf}
+        return {"complement": math.inf}
     if s < int(min(costs.values())).bit_length():
         costs["multisection"] = n * (2 ** s * (s + 1) * (17 + totient(s) ** 2) + 198) / 27.2
     return costs
@@ -298,8 +378,9 @@ def _row_engine(n: int, s: int, top: int | None = None) -> str:
 
 
 #: Row engine name -> builder ``(top, n, s)`` of Z_n(zeta_n; m, s) for
-#: m = 0..min(top, n-1); the field product builds the whole row whatever top.
-ROW_ENGINES = {"multisection": _multisection_row, "newton": _newton_row, "field": _field_row}
+#: m = 0..min(top, n-1); the complement engine builds the whole row whatever
+#: top.  None builds Q(zeta_n): ``_field_row`` is only the tests' reference.
+ROW_ENGINES = {"multisection": _multisection_row, "newton": _newton_row, "complement": _complement_row}
 
 
 def _product_row(top: int, n: int, s: int):
@@ -326,16 +407,6 @@ def zeta_product(n: int, s: int, m_max: int):
         ZetaValue(_zeta_multi(n, m, s), "product", (n, m, s))
         for m in range(m_max + 1)
     ]
-
-
-def _one_minus_power_cyclic(n: int, i: int, s: int) -> list:
-    """(1 - x^i)^s in Z[x]/(x^n - 1), as its n coefficients: the binomial
-    expansion, for the brute oracle's complementary rows and the power of
-    (1 - zeta) in the Stirling route's denominator."""
-    out = [0] * n
-    for k in range(s + 1):
-        out[i * k % n] += (-1) ** k * math.comb(s, k)
-    return out
 
 
 def _cyclic_tuple_sum(n: int, rows, depth: int, count: int) -> list:

@@ -2,7 +2,7 @@
 either side of each one agree.
 
 ``zeta._row_engine(n, s)`` picks the multisection, the integer Newton engine
-or the Q(zeta_n) product for the row (n, s) from cost estimates.  A seam is
+or the complement engine for the row (n, s) from cost estimates.  A seam is
 an s whose choice differs from the choice at s - 1.  At each seam s, and at
 s - 1 and s + 1, both engines of the seam must give the same row, entry for
 entry and exactly.  ``tests/test_zeta.py`` runs the seams that are cheap to
@@ -21,12 +21,13 @@ from qmzv import zeta
 
 def seams(n: int) -> list:
     """The seams of row n as (s, engine below s, engine from s on).  The
-    field product, which the estimates favour for every large enough s, is
-    the last engine; the scan ends where it is chosen."""
+    complement engine, whose cost grows as s^1.57 against Newton's s^2 and
+    the multisection's 2^s, is the one the estimates favour for every large
+    enough s: it is the last engine, and the scan ends where it is chosen."""
     found = []
     before = zeta._row_engine(n, 1)
     s = 1
-    while before != "field":
+    while before != "complement":
         s += 1
         after = zeta._row_engine(n, s)
         if after != before:

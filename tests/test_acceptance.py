@@ -83,7 +83,7 @@ def test_criterion_09_sequence_transform_equivalences():
     for trial in range(50):
         res = transform_round_trip(random_sequence(rng))
         assert res.passed, (trial, res.first_failure())
-    _report(9, "all five transform routes agree on 50 random sequences; round trip")
+    _report(9, "four forward and two inverse transform routes agree on 50 random sequences; round trip")
 
 
 def test_criterion_10_log_generating_identity():

@@ -317,8 +317,8 @@ def test_large_s_rows_use_the_field_product_unchanged(capsys, monkeypatch):
     for argv, want in LARGE_S_OUTPUTS.items():
         assert run_cli(capsys, *argv) == (0, want, ""), argv
 
-    # (10, 40) above now comes from the Newton engine; a row with s >> n
-    # still runs on the field product, with neither other engine reachable
+    # (10, 40) above now comes from the complement engine, as does a row
+    # with s >> n, with neither other engine reachable
     def no_newton(top, n, s):
         raise AssertionError(f"ran the Newton engine on ({n}, {s})")
 

@@ -109,6 +109,9 @@ def _assert_int_product(a, b):
     for got in (UniPoly(a) * UniPoly(b), UniPoly(b) * UniPoly(a)):
         assert got.coeffs == want.coeffs
         assert all(type(c) is int for c in got.coeffs)
+    # squares, which ``poly_mul`` takes on one operand
+    for p in (UniPoly(a), UniPoly(b)):
+        assert (p * p).coeffs == _schoolbook(p.coeffs, p.coeffs).coeffs
 
 
 def test_integer_products_equal_the_schoolbook_reference():
@@ -184,6 +187,8 @@ def test_products_over_other_rings_equal_the_schoolbook_reference():
             for cs in (a, b):
                 cs[1:-1:3] = [zero] * len(cs[1:-1:3])
             assert (UniPoly(a) * UniPoly(b)).coeffs == _schoolbook(a, b).coeffs
+            square = UniPoly(a)
+            assert (square * square).coeffs == _schoolbook(a, a).coeffs
 
 
 def test_poly_divmod_roundtrip():

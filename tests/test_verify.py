@@ -82,7 +82,7 @@ def test_routes_compare_the_newton_engine_only_where_it_is_bounded(monkeypatch):
         raise AssertionError(f"ran the Newton engine on ({n}, {s})")
 
     monkeypatch.setitem(verify.zeta.ROW_ENGINES, "newton", no_newton)
-    # s > 6 on the field product: the Newton engine stays out
+    # s > 6 on the complement engine: the Newton engine stays out
     result = verify.CASES["routes"](n=2, m=1, s=200, budget=0)
     assert result.passed and "newton" not in result.routes
 

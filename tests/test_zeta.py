@@ -16,6 +16,7 @@ from qmzv.zeta import (
     BudgetExceeded,
     UnsupportedClosedForm,
     ZetaValue,
+    _complement_row,
     _field_row,
     _inv_pows,
     _multisection_row,
@@ -170,10 +171,32 @@ def test_selector_picks_multisection_for_small_s_only():
 
 
 def test_selector_picks_newton_between_and_the_field_product_for_large_s():
-    for n, s in ((61, 10), (53, 20), (61, 40), (41, 16), (30, 3), (23, 1), (14, 8), (10, 40)):
+    # no field product is left to pick: the complement engine, whose cost
+    # grows as s^1.57 against Newton's s^2, takes every large s
+    for n, s in ((30, 3), (23, 1), (36, 3), (20, 3), (10, 4), (5, 6)):
         assert _row_engine(n, s) == "newton", (n, s)
+    for n, s in ((61, 10), (53, 20), (61, 40), (41, 16), (14, 8), (10, 40)):
+        assert _row_engine(n, s) == "complement", (n, s)
     for n, s in ((10, 1000), (10, 4000), (13, 2000), (31, 300), (2, 20000), (10, 10 ** 6), (5, 10 ** 400)):
-        assert _row_engine(n, s) == "field", (n, s)
+        assert _row_engine(n, s) == "complement", (n, s)
+
+
+#: The rows of the ``field_rows`` benchmark workload, which the complement
+#: engine leaves where they are but for (40, 3), where it is the fastest of
+#: three engines within 10 % of each other.
+FIELD_ROWS = [(n, s) for n in (17, 18, 19, 20, 21, 22, 23, 24, 26, 28, 30, 36, 40) for s in (1, 2, 3)]
+
+
+def test_selector_keeps_the_benchmark_rows_and_the_oracle_prefixes():
+    picked = {(n, s): _row_engine(n, s) for n, s in FIELD_ROWS}
+    assert picked.pop((36, 2)) == picked.pop((40, 2)) == "multisection"
+    assert picked.pop((40, 3)) == "complement"
+    assert set(picked.values()) == {"newton"}
+    # every prefix read of the oracle sweep's grid stays on Newton
+    for n in range(2, 15):
+        for s in range(1, 5):
+            for top in range(9):
+                assert _row_engine(n, s, top) == "newton", (n, s, top)
 
 
 def test_a_short_prefix_of_a_large_s_row_goes_to_newton():
@@ -190,6 +213,24 @@ def test_newton_row_matches_field_row():
     for n in range(1, 31):
         for s in range(1, 9):
             assert _newton_row(n - 1, n, s) == _field_row(n - 1, n, s), (n, s)
+
+
+def test_complement_row_matches_field_row():
+    for n in range(1, 25):
+        for s in (*range(1, 13), 2 * n, 3 * n):
+            assert _complement_row(n - 1, n, s) == _field_row(n - 1, n, s), (n, s)
+    # steps past s = 4 n^2, which come by squaring
+    for n in range(2, 9):
+        s = 4 * n * n + 1
+        assert _complement_row(n - 1, n, s) == _field_row(n - 1, n, s), (n, s)
+
+
+def test_complement_large_rows_match_closed_forms():
+    row = _complement_row(0, 101, 2)
+    assert len(row) == 101 and row[0] == 1
+    assert all(row[m] == zeta_m2_closed(101, m) for m in range(1, 101))
+    row = _complement_row(0, 61, 3)
+    assert all(row[m] == zeta_m3_closed(61, m) for m in range(1, 61))
 
 
 def test_newton_large_rows_match_closed_forms():
@@ -209,13 +250,15 @@ def test_engines_agree_at_the_cheaper_selector_seams():
     ("newton", 40, 8),
     ("multisection", 40, 4),
     ("multisection", 10, 8),
+    ("complement", 24, 8),
     ("field", 12, 8),
 ])
 def test_every_engine_prefix_is_the_head_of_its_full_row(name, n_max, s_max):
-    # every top of every row in the range; the multisection's rows at s > 4
-    # and the field product's whole rows cost too much to build n + 1 times
-    # each beyond these bounds
-    build = ROW_ENGINES[name]
+    # every top of every row in the range, and of the field product, the
+    # reference that ``verify routes`` reads through the same prefixes; the
+    # multisection's rows at s > 4 and the field product's whole rows cost
+    # too much to build n + 1 times each beyond these bounds
+    build = {**ROW_ENGINES, "field": _field_row}[name]
     for n in range(1, n_max + 1):
         for s in range(1, s_max + 1):
             full = build(n - 1, n, s)
@@ -232,7 +275,7 @@ def _cold(n, m, s, build):
 
 def test_growing_a_prefix_keeps_the_cold_values():
     rows = ((36, 2), (23, 2), (20, 5), (10, 1000))
-    assert [_row_engine(n, s) for n, s in rows] == ["multisection", "newton", "newton", "field"]
+    assert [_row_engine(n, s) for n, s in rows] == ["multisection", "newton", "complement", "complement"]
     for n, s in rows:
         for build in (_product_row, *ROW_ENGINES.values()):
             if build is ROW_ENGINES["multisection"] and s > 6:
@@ -275,6 +318,25 @@ def test_one_minus_zeta_powers_by_the_binomial_expansion():
         base = ctx.one() - ctx.zeta()
         for k in range(61):
             assert ctx.from_zeta_powers(_one_minus_power_cyclic(n, 1, k), 1) == base ** k, (n, k)
+
+
+def test_one_minus_power_cyclic_matches_the_binomial_expansion():
+    def expansion(n, i, s):
+        out = [0] * n
+        for k in range(s + 1):
+            out[i * k % n] += (-1) ** k * math.comb(s, k)
+        return out
+
+    # i = 0, i not prime to n and i > n included, and s = 0
+    for n in range(1, 13):
+        for i in range(2 * n + 1):
+            for s in (0, 1, 2, 3, 7, 8, 30, 61):
+                assert _one_minus_power_cyclic(n, i, s) == expansion(n, i, s), (n, i, s)
+    # both sides of s = 4 n^2, where squaring takes over from the running product
+    for n in range(1, 9):
+        for i in (0, 1, 2, n, n + 1):
+            for s in (4 * n * n, 4 * n * n + 1, 4 * n * n + 6):
+                assert _one_minus_power_cyclic(n, i, s) == expansion(n, i, s), (n, i, s)
 
 
 def test_via_stirling_examples():
@@ -386,6 +448,21 @@ def test_single_index_values_build_no_field(monkeypatch):
     assert zeta_bell(60, 3, 4).value == _bernoulli_oracle(60, 3, 4)
     assert zeta_det(105, 2, 3).value == zeta_m3_closed(105, 2)
     assert zeta_1s_det(30, 5) == _zeta_single(30, 5)
+
+
+def test_large_s_product_rows_build_no_field(monkeypatch):
+    def no_field(*args):
+        raise AssertionError(f"built a cyclotomic field: {args[-1]}")
+
+    monkeypatch.setattr("qmzv.cyclo.CycloCtx.__init__", no_field)
+    monkeypatch.setattr("qmzv.zeta.cyclo_ctx", no_field)
+    _slot.cache_clear()
+    for n, s in ((31, 300), (61, 20)):
+        assert _row_engine(n, s, n - 1) == "complement", (n, s)
+        row = [zv.value for zv in zeta_product(n, s, n - 1)]
+        assert row[0] == 1 and row[-1] == F(1, n ** s), (n, s)
+        assert row[1] == _zeta_single(n, s) and row[2] == zeta_bell(n, 2, s).value, (n, s)
+    _slot.cache_clear()
 
 
 def test_bell_and_det_match_the_closed_forms_at_large_n():
