@@ -242,6 +242,11 @@ def suite_cases(suite: str, **bounds) -> list:
 
 
 def run_case(case) -> CheckResult:
-    """Run one ``(label, case_name, params)`` case."""
+    """Run one ``(label, case_name, params)`` case.  An exception the case
+    raises is recorded as its one failure, so that a sweep still reports
+    every case."""
     _label, name, params = case
-    return CASES[name](**params)
+    try:
+        return CASES[name](**params)
+    except Exception as exc:
+        return _result(False, "no exception", f"{type(exc).__name__}: {exc}", [name])

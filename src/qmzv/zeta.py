@@ -46,12 +46,11 @@ return the same rational:
 * ``zeta_bell``         -- complete Bell polynomial in single-index values;
 * ``zeta_det``          -- Toeplitz-Hessenberg determinant in single-index
                            values (and ``zeta_row_from_column`` inverts it),
-                           each value Z_n(zeta_n; 1, k) the sum over the
-                           divisors e > 1 of n of p_k(u)/e^k, with
-                           u_j = e/(1 - zeta_e^j) the algebraic integers
-                           whose elementary symmetric values come from
-                           Phi_e(1 + t): one integer power-sum pass per
-                           divisor, no field;
+                           each value Z_n(zeta_n; 1, k) = p_k(v)/n^k read
+                           from the integer power sums of the v_j that the
+                           Newton engine reads too (``_newton_power_sums``),
+                           no field; the two differ from Newton only in
+                           their last step;
 * closed forms for s = 1, 2, 3 and the degenerate-Bernoulli form for m = 1.
 
 The module also builds the subset-product polynomials F(s, l)(X, Y) from
@@ -67,10 +66,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice
 
-from .cyclo import as_rational, cyclo_ctx, cyclotomic_poly, totient
+from .cyclo import as_rational, cyclo_ctx, totient
 from .exactnum import (
     UniPoly,
-    exact_div,
     kronecker_pack,
     kronecker_unpack,
     kronecker_width,
@@ -139,45 +137,25 @@ def _inv_pows(n: int, s: int):
     return tuple(c ** s for c in _inv_pows(n, 1))
 
 
-def _divisors(n: int) -> list:
-    """The divisors e > 1 of n >= 2, ascending, by trial division to sqrt(n)."""
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return sorted({e for d in small for e in (d, n // d)} - {1})
+def _newton_power_sums(top: int, n: int):
+    """q_k = -p_k(v) for k = 0..top, where v_j = n/(1 - zeta_n^j), j = 1..n-1:
+    algebraic integers, on plain ints.
 
-
-def _divisor_power_sums(top: int, e: int):
-    """q_k = -p_k(u) for k = 0..top, where u_j = e/(1 - zeta_e^j) over the
-    j prime to e, for e >= 2: algebraic integers, on plain ints.
-
-    prod_j (1 + t u_j) = Phi_e(1 + e t)/Phi_e(1), so their elementary
-    symmetric values are e_i(u) = e^i [t^i] Phi_e(1 + t) / Phi_e(1), where
-    [t^i] Phi_e(1 + t) = sum_k c_k C(k, i) over the coefficients c_k of
-    ``cyclotomic_poly(e)`` and Phi_e(1) is its value at t = 0 (p for
-    e = p^a, 1 otherwise); each division is checked exact.  One
-    ``newton_log`` pass over f_i = (-1)^i e_i(u), i <= min(top, phi(e)),
-    gives every q_k.
-
-    The (i+1)-fold suffix sums of the c_k are A(m) = sum_(k >= m) c_k
-    C(k - m + i, i), so [t^i] Phi_e(1 + t) is the one at m = i: i + 1
-    running sums over the coefficients, from the top one down.
+    prod_j (1 + t v_j) = E(nt) = ((1 + nt)^n - 1)/(n^2 t), so their
+    elementary symmetric values are e_i(v) = n^(i-1) C(n, i+1), and one
+    ``newton_log`` pass over f_i = (-1)^i e_i(v), i <= min(n-1, top), gives
+    every q_k.  One prefix per n serves every row (n, s) of ``_newton_row``
+    and every single-index value ``_zeta_single(n, k)``.
     """
-    coeffs = cyclotomic_poly(e).coeffs
-    width = min(top, len(coeffs) - 1)
-    acc, shifted = coeffs[::-1], []
-    for i in range(width + 1):
-        acc = list(accumulate(acc[: len(coeffs) - i]))
-        shifted.append(acc[-1])
-    f = [(-1) ** i * exact_div(e ** i * shifted[i], shifted[0]) for i in range(1, width + 1)]
-    return newton_log(f + [0] * (top - width))
+    f = [(-1) ** i * n ** (i - 1) * math.comb(n, i + 1) for i in range(1, min(n - 1, top) + 1)]
+    return newton_log(f + [0] * (top - len(f)))
 
 
 @lru_cache(maxsize=None)
 def _zeta_single(n: int, k: int) -> Fraction:
-    """Z_n(zeta_n; 1, k) = sum_i (1 - zeta^i)^(-k): the zeta^i of order e are
-    the conjugates zeta_e^j, j prime to e, so the sum is p_k(u)/e^k over the
-    divisors e > 1 of n, each p_k(u) read from the growing prefix of
-    ``_divisor_power_sums`` that every n with the divisor e shares."""
-    return sum(Fraction(-_prefix(k, _divisor_power_sums, e)[k], e ** k) for e in _divisors(n))
+    """Z_n(zeta_n; 1, k) = sum_i (1 - zeta^i)^(-k) = p_k(v)/n^k, with p_k(v)
+    read from the growing prefix of ``_newton_power_sums`` at n."""
+    return Fraction(-_prefix(k, _newton_power_sums, n)[k], n ** k)
 
 
 def _field_row(top: int, n: int, s: int):
@@ -236,18 +214,14 @@ def _newton_row(top: int, n: int, s: int):
     """Z_n(zeta_n; m, s) for m = 0..min(top, n-1) by Newton's identities on
     integers.
 
-    The v_j = n/(1 - zeta_n^j), j = 1..n-1, are algebraic integers with
-    prod_j (1 + t v_j) = E(nt) = ((1 + nt)^n - 1)/(n^2 t), so their
-    elementary symmetric values are e_i(v) = n^(i-1) C(n, i+1).  One
-    ``newton_log`` pass over f_i = (-1)^i e_i(v), i <= min(n-1, K), gives
-    q_k = -p_k(v) for k <= K = s top; then E_m = e_m(v^s) comes from the
-    power sums p_i(v^s) = p_(is)(v) by the exp-side loop, whose divisions
-    are exact, and Z(m, s) = E_m / n^(sm).  No field is built.
+    The power sums p_k(v) of v_j = n/(1 - zeta_n^j) for k <= K = s top are
+    read from the prefix of ``_newton_power_sums`` at n; then E_m = e_m(v^s)
+    comes from the power sums p_i(v^s) = p_(is)(v) by the exp-side loop,
+    whose divisions are exact, and Z(m, s) = E_m / n^(sm).  No field is
+    built.
     """
     top = min(top, n - 1)
-    big_k = s * top
-    f = [(-1) ** i * n ** (i - 1) * math.comb(n, i + 1) for i in range(1, min(n - 1, big_k) + 1)]
-    q = newton_log(f + [0] * (big_k - len(f)))
+    q = _prefix(s * top, _newton_power_sums, n)
     # g_i = (-1)^(i-1) p_(is)(v) = (-1)^i q_(is)
     e = newton_exp([q[i * s] if i % 2 == 0 else -q[i * s] for i in range(1, top + 1)], integral=True)
     return tuple(Fraction(c, n ** (s * m)) for m, c in enumerate(e))

@@ -53,7 +53,8 @@ def mismatches(n_max: int, max_cost: float = float("inf")) -> list:
                 continue
             s, below, above = seam
             for t in (s - 1, s, s + 1):
-                # the full rows, built afresh rather than read from a memo
+                # the full rows, built afresh rather than read from the row
+                # memo (Newton still reads the power-sum prefix of n)
                 lower, upper = (zeta.ROW_ENGINES[e](n - 1, n, t) for e in (below, above))
                 if lower != upper:
                     bad.append((n, t, below, above))

@@ -139,31 +139,58 @@ def test_single_index_reference_is_labelled_as_such(capsys, monkeypatch):
     assert all(f["routes"] == ["binomial-det", "single-index"] for f in payload["failures"])
 
 
-def test_a_planted_divisor_power_sum_fault_fails_verify_routes(capsys, monkeypatch):
-    # -p_4(u) of the divisor e = 3 off by one: every single-index value
-    # Z_n(zeta_n; 1, 4) with 3 | n is wrong, and with it the Bell and det
-    # values that read it and the row-from-column references
-    real = verify.zeta._divisor_power_sums
+def test_a_case_that_raises_is_one_failed_case(capsys, monkeypatch):
+    def raising(n, s):
+        raise ZeroDivisionError("planted")
 
-    def faulty(top, e):
-        q = real(top, e)
-        if e == 3 and top >= 4:
+    monkeypatch.setitem(verify.CASES, "binomial_det", raising)
+    code = cli.main(["verify", "routes", "--n-max", "3", "--m-max", "1", "--s-max", "1", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 4 and payload["cases"] == 6
+    assert [f["case"] for f in payload["failures"]] == ["binomial-det n=2 s=1", "binomial-det n=3 s=1"]
+    assert all(f["actual"] == "ZeroDivisionError: planted" for f in payload["failures"])
+
+    def interrupted(n, s):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(verify.CASES, "binomial_det", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_case(("binomial-det n=2 s=1", "binomial_det", {"n": 2, "s": 1}))
+
+
+def test_a_planted_power_sum_fault_fails_only_the_routes_that_share_it(capsys, monkeypatch):
+    # -p_4(v) at n = 9 off by one: the single-index value Z_9(zeta_9; 1, 4)
+    # is wrong, and with it the Bell and det values that read it, while the
+    # Newton engine, which reads the same prefix, finds an inexact division;
+    # the field reference and every other route stay right
+    z = verify.zeta
+    real = z._newton_power_sums
+
+    def faulty(top, n):
+        q = real(top, n)
+        if n == 9 and top >= 4:
             q[4] += 1
         return q
 
-    monkeypatch.setattr(verify.zeta, "_divisor_power_sums", faulty)
-    verify.zeta._zeta_single.cache_clear()
+    monkeypatch.setattr(z, "_newton_power_sums", faulty)
+    z._zeta_single.cache_clear()
     verify.seqlib._slot.cache_clear()
     try:
         argv = ["verify", "routes", "--n-max", "10", "--m-max", "4", "--s-max", "3", "--budget", "0"]
         code = cli.main(argv + ["--format", "json"])
         failures = json.loads(capsys.readouterr().out)["failures"]
+        want = z._zeta_multi(9, 2, 2, z._field_row)
+        shared = [z.zeta_bell(9, 2, 2).value, z.zeta_det(9, 2, 2).value]
+        apart = [z.zeta_via_stirling(9, 2, 2).value, z.zeta_brute(9, 2, 2).value,
+                 z._zeta_multi(9, 2, 2, z._complement_row), z._zeta_multi(9, 2, 2, z._multisection_row)]
     finally:
-        verify.zeta._zeta_single.cache_clear()
+        z._zeta_single.cache_clear()
         verify.seqlib._slot.cache_clear()
+    assert want not in shared and apart == [want] * 4
     assert code == 4
-    cases = {f["case"] for f in failures}
-    assert {"routes n=6 m=4 s=1", "routes n=9 m=2 s=2", "row-from-column n=3 m=2 s=2"} <= cases
-    assert all(int(c.split(" n=")[1].split()[0]) % 3 == 0 for c in cases)
-    bad_routes = [f["actual"] for f in failures if f["case"].startswith("routes ")]
-    assert bad_routes and all(a.startswith("bell=") and "det=" in a for a in bad_routes)
+    assert {"routes n=9 m=4 s=1", "row-from-column n=9 m=2 s=2"} <= {f["case"] for f in failures}
+    for f in failures:
+        assert f["case"].split(" n=")[1].split()[0] == "9", f["case"]
+        if not f["actual"].startswith("InexactDivision: "):
+            named = {pair.split("=")[0] for pair in f["actual"].split("; ") if "=" in pair}
+            assert named <= {"bell", "det", "newton"}, f

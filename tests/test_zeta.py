@@ -6,8 +6,10 @@ from itertools import combinations, product
 import pytest
 from engine_seams import mismatches
 
+from qmzv import cyclo, exactnum, qstirling, seqlib
+from qmzv import zeta as zmod
 from qmzv.cyclo import CycloElem, as_rational, cyclo_ctx
-from qmzv.exactnum import UniPoly, tuple_product_sum
+from qmzv.exactnum import UniPoly, newton_log, tuple_product_sum
 from qmzv.qstirling import BadParams, rstirling1
 from qmzv.seqlib import _slot, harmonic, seq_transform_forward
 from qmzv.zeta import (
@@ -409,7 +411,7 @@ def test_route_agreement_sweep():
 def test_single_index_power_sums_equal_the_sum_over_all_conjugates():
     # the oracle walks all n - 1 summands (1 - zeta^i)^(-k) in Q(zeta_n),
     # one running power per summand; the values are read cold in shuffled
-    # order, so each divisor's power-sum prefix is regrown from short reads
+    # order, so the power-sum prefix of each n is regrown from short reads
     def walk(n, k_max):
         inv = _inv_pows(n, 1)
         powers, sums = list(inv), {}
@@ -474,17 +476,44 @@ def test_bell_and_det_match_the_closed_forms_at_large_n():
                 assert zeta_det(n, m, s).value == want, (n, m, s)
 
 
-def test_bell_builds_one_inverse_table():
-    from qmzv import cyclo, exactnum, qstirling, seqlib
-    from qmzv import zeta as zmod
-
+def _empty_caches():
     for mod in (cyclo, exactnum, qstirling, seqlib, zmod):
         for obj in vars(mod).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
+
+
+def test_bell_builds_one_inverse_table():
+    _empty_caches()
     zeta_bell(41, 20, 2)
-    # one closed form 1/(1 - zeta_e) per divisor e, no table of all of them
+    # integer power sums, no table of the 1/(1 - zeta^i)
     assert _inv_pows.cache_info().currsize == 0
+
+
+def test_bell_det_and_newton_rows_share_one_power_sum_prefix(monkeypatch):
+    _empty_caches()
+    want = zeta_bell(23, 4, 3).value
+    calls = []
+
+    def counted(f):
+        calls.append(len(f))
+        return newton_log(f)
+
+    monkeypatch.setattr(zmod, "newton_log", counted)
+    assert zeta_det(23, 4, 3).value == want
+    zeta_bell(23, 2, 5)
+    assert _zeta_multi(23, 4, 3, _newton_row) == want
+    assert calls == []
+
+
+def test_bell_and_det_at_seven_primes_build_no_cyclotomic_polynomial():
+    cyclo.cyclotomic_poly.cache_clear()
+    _zeta_single.cache_clear()
+    _slot.cache_clear()
+    want = zeta_m2_closed(510510, 2)
+    assert zeta_bell(510510, 2, 2).value == want
+    assert zeta_det(510510, 2, 2).value == want
+    assert cyclo.cyclotomic_poly.cache_info().currsize == 0
 
 
 # -------------------------------------------------------------- closed forms
