@@ -8,7 +8,9 @@ generic over the evaluation point q, which can be
   q-number [i]_q is computed as the sum 1 + q + ... + q^(i-1), never as a
   quotient; the triangles store and fill ints graded by powers of q's
   denominator, see :class:`StirlingTable`), or
-* a primitive n-th root of unity (entries are cyclotomic field elements).
+* a primitive n-th root of unity (entries are cyclotomic field elements;
+  every entry is an algebraic integer, so the triangles store and fill
+  tuples of integer coordinates in Z[zeta_n], see :class:`StirlingTable`).
 
 Boundary conventions used throughout: entries vanish for k > n and for
 k < r off the diagonal, and every diagonal entry is 1.  With these the
@@ -24,10 +26,10 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from threading import Lock, RLock
 
-from .cyclo import CycloCtx, cyclo_ctx
+from .cyclo import CycloCtx, _make, cyclo_ctx
 from .exactnum import (
     UniPoly,
     kronecker_pack,
@@ -182,6 +184,13 @@ class StirlingTable:
     down the column so is every F: it is the reduced numerator, and
     ``entry`` returns the Fraction F / b^g.  At q = 1 the fill is on ints
     alone.
+
+    At q = zeta_n every weight ([t]_q)^s lies in Z[zeta_n], and so, down each
+    column, does every entry.  The store holds each entry's power-basis
+    coordinates as a tuple of ints, with no denominator: a cell is the
+    weight's coordinates times the entry above, reduced modulo Phi_n, plus
+    the left entry added coordinatewise.  ``entry`` wraps only the value it
+    returns as a ``CycloElem``.
     """
 
     def __init__(self, kind: str, r: int, s: int, q: QPoint):
@@ -200,13 +209,22 @@ class StirlingTable:
         # ``_fill`` reads no weight, and at a rational q only its numerator;
         # the closed-form oracles read the weights themselves.
         self._weights = []
-        self._qnums = qnums_from(q, r)  # yields [r + len(_weights)]_q next
+        # Q(zeta_n) at a root of unity, whose column store holds coordinates
+        ctx = self._ctx = q.ctx if isinstance(q, RootOfUnityQ) else None
+        if ctx is None:
+            self._qnums = qnums_from(q, r)  # yields [r + len(_weights)]_q next
+        else:
+            # [i]_zeta from its i unit coefficients: additions only, with no
+            # product by zeta per step (and no reference back to the table)
+            self._qnums = (ctx.from_zeta_powers([1] * i, 1) for i in count(r))
         # b of q = a/b, by which the column store is graded; None off Q
         self._den = q.value.denominator if isinstance(q, RationalQ) else None
 
     def weight(self, i: int):
         """([i]_q)^s for i >= r: the recurrence multiplier at a rational or
-        root-of-unity q, and the closed-form oracles' factor at every q."""
+        root-of-unity q, and the closed-form oracles' factor at every q.  At
+        q = zeta_n, [i]_q is summed from i powers of zeta and raised to the
+        s-th power by squaring, about log2(s) field products."""
         if i < self.r:
             raise BadParams("weight index must be >= r")
         weights = self._weights
@@ -228,7 +246,7 @@ class StirlingTable:
             self._fill(n, k)
         value = cols[k][n - k]
         if self._den is None:
-            return value
+            return value if self._ctx is None else _make(self._ctx, value, 1)
         if self.kind == "first":
             g = self.s * (math.comb(n - 1, 2) - math.comb(k - 1, 2))
         else:
@@ -244,13 +262,15 @@ class StirlingTable:
         plain recursion would.  At a symbolic q the product with the weight
         is ``_times_qnum_power`` on the int coefficients, and the left entry
         is added on the same list.  At a rational q the fill runs on the
-        graded ints of the class docstring.
+        graded ints of the class docstring, and at a root of unity on the
+        integer coordinates.
         """
         with self._lock:
             cols = self._cols
             rational = self._den is not None
+            ctx = self._ctx
             while len(cols) <= k:
-                cols.append([1 if rational else self.q.one()])
+                cols.append([1 if rational else self.q.one() if ctx is None else ctx.one().num])
             first = self.kind == "first"
             symbolic = isinstance(self.q, SymbolicQ)
             step = self._den**self.s if rational else None  # b^s
@@ -272,7 +292,10 @@ class StirlingTable:
                         below = 0 if left is None else left[i - j] * step ** (i - j)
                         col.append(below + self.weight(index).numerator * col[-1])
                     else:
-                        col.append((0 if left is None else left[i - j]) + self.weight(index) * col[-1])
+                        coords = ctx._mul_coords(self.weight(index).num, col[-1])
+                        if left is not None:
+                            coords = tuple(map(operator.add, coords, left[i - j]))
+                        col.append(coords)
                 left = col
 
 

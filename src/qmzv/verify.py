@@ -45,18 +45,26 @@ def _case_routes(n, m, s, budget):
     # ``_product_row`` picks them
     engines = zeta.ROW_ENGINES
     reference = zeta._zeta_multi(n, m, s, zeta._field_row)
-    values = {
-        "stirling": zeta.zeta_via_stirling(n, m, s).value,
-        "bell": zeta.zeta_bell(n, m, s).value,
-        "det": zeta.zeta_det(n, m, s).value,
-        "complement": zeta._zeta_multi(n, m, s, engines["complement"]),
+    routes = {
+        "stirling": lambda: zeta.zeta_via_stirling(n, m, s).value,
+        "bell": lambda: zeta.zeta_bell(n, m, s).value,
+        "det": lambda: zeta.zeta_det(n, m, s).value,
+        "complement": lambda: zeta._zeta_multi(n, m, s, engines["complement"]),
     }
     picked = zeta._row_engine(n, s)
     for name in ("multisection", "newton"):
         if s <= 6 or picked == name:
-            values[name] = zeta._zeta_multi(n, m, s, engines[name])
+            routes[name] = lambda engine=engines[name]: zeta._zeta_multi(n, m, s, engine)
     if _brute_fits(n, m, budget):
-        values["brute"] = zeta.zeta_brute(n, m, s, budget=budget).value
+        routes["brute"] = lambda: zeta.zeta_brute(n, m, s, budget=budget).value
+    # each route runs on its own, so one that raises is reported beside the
+    # others' values instead of hiding them
+    values = {}
+    for name, route in routes.items():
+        try:
+            values[name] = route()
+        except Exception as exc:
+            values[name] = f"{type(exc).__name__}: {exc}"
     bad = {k: v for k, v in values.items() if v != reference}
     actual = "; ".join(f"{k}={v}" for k, v in sorted(bad.items()))
     return _result(not bad, str(reference), actual or str(reference), ["product"] + sorted(values))

@@ -13,7 +13,8 @@ return the same rational:
                            When 2m > n - 1 it enumerates the shorter
                            complementary tuples of (1 - zeta^i)^s instead,
                            by prod_(i=1..n-1) (1 - zeta^i) = n, and the one
-                           total is rationalized in Q(zeta_n);
+                           total is rationalized in Q(zeta_n).  The rows are
+                           built once per (n, s);
 * ``zeta_product``      -- coefficients of prod_j (1 + X/(1-zeta^j)^s), the
                            production route.  Each row (n, s) is a growing
                            prefix m = 0..top in one memo (``seqlib._prefix``)
@@ -40,9 +41,10 @@ return the same rational:
                            Q(zeta_n), ``_field_row``, is only the reference
                            of ``verify routes`` and of the tests;
 * ``zeta_via_stirling`` -- first-kind generalized q-Stirling identity, its
-                           denominator's power of (1 - zeta) the cyclic
-                           binomial power that brute and the complement
-                           engine share;
+                           triangle filled on integer coordinates in
+                           Z[zeta_n], its denominator's power of (1 - zeta)
+                           the cyclic binomial power that brute and the
+                           complement engine share;
 * ``zeta_bell``         -- complete Bell polynomial in single-index values;
 * ``zeta_det``          -- Toeplitz-Hessenberg determinant in single-index
                            values (and ``zeta_row_from_column`` inverts it),
@@ -422,7 +424,9 @@ def zeta_brute(n: int, m: int, s: int, budget: int = DEFAULT_BRUTE_BUDGET) -> Ze
     divided by n^s; so when 2m > n - 1 the sum runs over those shorter
     tuples, and m = n - 1 needs none.  Either way every tuple's product is
     taken on packed integers modulo 2^N - 1 (``_cyclic_tuple_sum``) and the
-    one total is rationalized in Q(zeta_n).
+    one total is rationalized in Q(zeta_n).  The rows of each side depend on
+    (n, s) only and are memoized (``_brute_rows``), so a sweep over m builds
+    them once.
 
     Refuses to enumerate more than ``budget`` tuples, counted as C(n-1, m)
     before any row is built.
@@ -435,16 +439,27 @@ def zeta_brute(n: int, m: int, s: int, budget: int = DEFAULT_BRUTE_BUDGET) -> Ze
         raise BudgetExceeded(f"{count} tuples exceed budget {budget}")
     if count == 0:
         return ZetaValue(Fraction(0), "brute", (n, m, s))
-    if 2 * m <= n - 1:
-        depth, den = m, n ** (s * m)
-        rows = [(c * n ** s).num for c in _inv_pows(n, s)]
-    else:
+    complementary = 2 * m > n - 1
+    if complementary:
         depth, den = n - 1 - m, n ** s
         if depth == 0:
             return ZetaValue(Fraction(1, den), "brute", (n, m, s))
-        rows = [_one_minus_power_cyclic(n, i, s) for i in range(1, n)]
+    else:
+        depth, den = m, n ** (s * m)
+    rows = _brute_rows(n, s, complementary)
     total = cyclo_ctx(n).from_zeta_powers(_cyclic_tuple_sum(n, rows, depth, count), den)
     return ZetaValue(as_rational(total), "brute", (n, m, s))
+
+
+@lru_cache(maxsize=None)
+def _brute_rows(n: int, s: int, complementary: bool) -> tuple:
+    """The n - 1 integer rows of the brute oracle at (n, s), built once for
+    every m: the coordinates of v_i = n^s (1 - zeta^i)^(-s) in Z[zeta_n], or,
+    for the complementary tuples, the n coefficients of (1 - x^i)^s in
+    Z[x]/(x^n - 1)."""
+    if complementary:
+        return tuple(tuple(_one_minus_power_cyclic(n, i, s)) for i in range(1, n))
+    return tuple((c * n ** s).num for c in _inv_pows(n, s))
 
 
 def zeta_via_stirling(n: int, m: int, s: int) -> ZetaValue:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -356,31 +357,45 @@ def _plus_one_on_constant(e):
 
 
 @pytest.mark.parametrize(
-    "q, kind, n0, k0, corrupt",
+    "q, kind, n0, k0, corrupt, stored",
     [
-        (SYM, "first", 14, 1, _plus_one_on_top),
-        (SYM, "second", 9, 4, _plus_one_on_constant),
-        (RationalQ(F(2, 3)), "first", 12, 5, lambda e: e + F(1, 7**20)),
-        (RationalQ(F(2, 3)), "second", 9, 4, lambda e: e + F(1, 7**20)),
-        (RationalQ(F(-1)), "first", 14, 1, lambda e: e + 1),
-        (RationalQ(F(-1)), "second", 9, 4, lambda e: e + 1),
-        (RootOfUnityQ(7), "first", 14, 1, lambda e: e + cyclo_ctx(7).zeta_power(5)),
-        (RootOfUnityQ(7), "second", 9, 4, lambda e: e + F(1, 7**20)),
+        (SYM, "first", 14, 1, _plus_one_on_top, True),
+        (SYM, "second", 9, 4, _plus_one_on_constant, True),
+        (RationalQ(F(2, 3)), "first", 12, 5, lambda e: e + F(1, 7**20), True),
+        (RationalQ(F(2, 3)), "second", 9, 4, lambda e: e + F(1, 7**20), True),
+        (RationalQ(F(-1)), "first", 14, 1, lambda e: e + 1, True),
+        (RationalQ(F(-1)), "second", 9, 4, lambda e: e + 1, True),
+        # + zeta^5 on the stored coordinates
+        (RootOfUnityQ(7), "first", 14, 1, lambda e: e[:5] + (e[5] + 1,), True),
+        # the store at a root of unity is integral, so the value read back is
+        # the one changed
+        (RootOfUnityQ(7), "second", 9, 4, lambda e: e + F(1, 7**20), False),
     ],
     ids=["symbolic-top", "symbolic-constant", "2/3-first", "2/3-second", "-1-first", "-1-second",
          "root7-top", "root7-denominator"],
 )
 def test_orthogonality_at_the_widest_sizes_fails_on_one_corrupted_entry(
-    monkeypatch, q, kind, n0, k0, corrupt
+    monkeypatch, q, kind, n0, k0, corrupt, stored
 ):
-    # the tables of a passing check at (n_max, r, s) = (14, 1, 3), one stored
-    # entry changed: the packed or common-denominator sums, and at a root of
-    # unity their reduction modulo Phi_n, must see it
+    # the tables of a passing check at (n_max, r, s) = (14, 1, 3), one entry
+    # changed, in the store or as ``entry`` reads it: the packed or
+    # common-denominator sums, and at a root of unity their reduction modulo
+    # Phi_n, must see it
     monkeypatch.setattr(qstirling, "_TABLES", {})
     n_max, r, s = 14, 1, 3
     assert orthogonality_check(n_max, r, s, q).passed
-    col = qstirling._table(kind, r, s, q)._cols[k0]
-    col[n0 - k0] = corrupt(col[n0 - k0])
+    table = qstirling._table(kind, r, s, q)
+    if stored:
+        col = table._cols[k0]
+        col[n0 - k0] = corrupt(col[n0 - k0])
+    else:
+        clean = table.entry
+
+        def entry(n, k):
+            value = clean(n, k)
+            return corrupt(value) if (n, k) == (n0, k0) else value
+
+        monkeypatch.setattr(table, "entry", entry)
     res = orthogonality_check(n_max, r, s, q)
     assert not res.passed
     assert res.failures == _reference_failures(r, s, n_max, q)
@@ -538,22 +553,54 @@ def test_bottom_up_fill_computes_what_the_recursion_computes():
         return entry, memo
 
     requests = [(9, 3), (9, 3), (12, 4), (6, 5), (14, 2), (14, 13), (3, 1), (20, 7)]
-    for kind in ("first", "second"):
-        for r, s in ((1, 1), (2, 2), (3, 1)):
-            q = RationalQ(F(2, 3))
-            table = StirlingTable(kind, r, s, q)
-            ref_entry, ref_memo = reference(kind, r, s, q)
-            for n, k in requests:
-                assert table.entry(n, k) == ref_entry(n, k)
-                # the store holds graded ints at a rational q: compare the
-                # memoized positions, and the entries read back from them
-                memo = {
-                    (j + t, j)
-                    for j, col in enumerate(table._cols) if col is not None
-                    for t in range(1, len(col))
-                }
-                assert memo == ref_memo.keys()
-                assert {key: table.entry(*key) for key in memo} == ref_memo
+    # at q = zeta_n, n = 1, 2, 7 and 12, some weights vanish and 12 is composite
+    points = [RationalQ(F(2, 3))] + [RootOfUnityQ(n) for n in (1, 2, 7, 12)]
+    for q, kind, (r, s) in itertools.product(points, ("first", "second"), ((1, 1), (2, 2), (3, 1))):
+        table = StirlingTable(kind, r, s, q)
+        ref_entry, ref_memo = reference(kind, r, s, q)
+        for n, k in requests:
+            assert table.entry(n, k) == ref_entry(n, k)
+            # the store holds graded ints at a rational q and coordinates at
+            # a root of unity: compare the memoized positions, and the
+            # entries read back from them
+            memo = {
+                (j + t, j)
+                for j, col in enumerate(table._cols) if col is not None
+                for t in range(1, len(col))
+            }
+            assert memo == ref_memo.keys()
+            assert {key: table.entry(*key) for key in memo} == ref_memo
+
+
+def test_root_of_unity_weights_are_powers_of_q_numbers():
+    from qmzv.qstirling import StirlingTable
+
+    for n in (1, 2, 6, 7, 12):
+        q = RootOfUnityQ(n)
+        for s in range(1, 6):
+            table = StirlingTable("first", 1, s, q)
+            for i in range(1, 3 * n + 1):
+                assert table.weight(i) == qnum(i, q) ** s, (n, s, i)
+
+
+def test_root_of_unity_fill_at_level_one_makes_no_field_product(monkeypatch):
+    # every weight [i]_zeta is a sum of powers of zeta, and each cell one
+    # product of coordinate tuples: no CycloElem is multiplied
+    from qmzv.cyclo import CycloElem
+
+    monkeypatch.setattr(qstirling, "_TABLES", {})
+    calls = []
+    real = CycloElem.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(CycloElem, "__mul__", counted)
+    monkeypatch.setattr(CycloElem, "__rmul__", counted)
+    q = RootOfUnityQ(13)
+    assert stirling1(14, 7, 1, 1, q) != 0 and stirling2(14, 7, 1, 1, q) != 0
+    assert calls == []
 
 
 def test_times_qnum_power_is_the_product_with_the_weight():

@@ -194,3 +194,33 @@ def test_a_planted_power_sum_fault_fails_only_the_routes_that_share_it(capsys, m
         if not f["actual"].startswith("InexactDivision: "):
             named = {pair.split("=")[0] for pair in f["actual"].split("; ") if "=" in pair}
             assert named <= {"bell", "det", "newton"}, f
+
+
+def test_a_route_that_raises_is_reported_beside_the_others(capsys, monkeypatch):
+    # the power-sum fault above: the Newton engine raises at (9, 2, 2), and
+    # the wrong Bell and det values must still show in the same case
+    z = verify.zeta
+    real = z._newton_power_sums
+
+    def faulty(top, n):
+        q = real(top, n)
+        if n == 9 and top >= 4:
+            q[4] += 1
+        return q
+
+    monkeypatch.setattr(z, "_newton_power_sums", faulty)
+    z._zeta_single.cache_clear()
+    verify.seqlib._slot.cache_clear()
+    try:
+        argv = ["verify", "routes", "--n-max", "10", "--m-max", "4", "--s-max", "3", "--budget", "0"]
+        code = cli.main(argv + ["--format", "json"])
+        failures = json.loads(capsys.readouterr().out)["failures"]
+    finally:
+        z._zeta_single.cache_clear()
+        verify.seqlib._slot.cache_clear()
+    assert code == 4
+    (case,) = [f for f in failures if f["case"] == "routes n=9 m=2 s=2"]
+    pairs = dict(pair.split("=", 1) for pair in case["actual"].split("; "))
+    assert sorted(pairs) == ["bell", "det", "newton"]
+    assert pairs["newton"].startswith("InexactDivision: ")
+    assert "newton" in case["routes"] and "brute" not in case["routes"]

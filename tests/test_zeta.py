@@ -115,6 +115,22 @@ def test_brute_of_the_full_tuple_is_one_over_n_to_the_s():
     assert zeta_brute(7, 6, 3).value == F(1, 343)
 
 
+def test_brute_builds_its_rows_once_per_n_and_s(monkeypatch):
+    # the first call at (n, s) on each side builds the rows; a second at
+    # another m on the same side reads them back, building no power of
+    # (1 - zeta^i)
+    ms = (2, 3, 4, 8, 7, 6)
+    want = [zmod._zeta_multi(11, m, 3, zmod._field_row) for m in ms]
+    assert [zeta_brute(11, m, 3).value for m in (2, 8)] == [want[0], want[3]]
+
+    def no_rows(*args):
+        raise AssertionError(f"rebuilt a brute row: {args}")
+
+    monkeypatch.setattr(zmod, "_inv_pows", no_rows)
+    monkeypatch.setattr(zmod, "_one_minus_power_cyclic", no_rows)
+    assert [zeta_brute(11, m, 3).value for m in ms] == want
+
+
 def test_brute_rejects_bad_params():
     with pytest.raises(BadParams):
         zeta_brute(1, 1, 1)
