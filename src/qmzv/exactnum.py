@@ -18,8 +18,9 @@ it multiplies by ([i]_q)^s with window sums on the int coefficients.  The
 substitution is three shared helpers: ``kronecker_width`` gives the bytes
 per coefficient for a coefficient bound, ``kronecker_pack``
 evaluates an integer polynomial at q = 2^(8w), and ``kronecker_unpack`` reads
-the coefficients back; ``qstirling.orthogonality_check`` packs each symbolic
-triangle entry once with them and sums plain ints, and ``zeta.zeta_brute``
+the coefficients back; ``qstirling.orthogonality_check`` packs each stored
+symbolic or root-of-unity triangle entry once with them and sums plain ints,
+and ``zeta.zeta_brute``
 packs its rows with them and hands ``tuple_product_sum`` a ``mul`` that
 reduces every product modulo 2^N - 1.
 

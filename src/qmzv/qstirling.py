@@ -3,7 +3,8 @@
 Both triangles carry a level ``s >= 1`` and an offset ``r >= 1`` and are
 generic over the evaluation point q, which can be
 
-* symbolic (entries are integer polynomials in q),
+* symbolic (entries are integer polynomials in q; the triangles store and
+  fill their coefficients as tuples of ints, see :class:`StirlingTable`),
 * an exact rational (entries are Fractions; q = 1 is fine because the
   q-number [i]_q is computed as the sum 1 + q + ... + q^(i-1), never as a
   quotient; the triangles store and fill ints graded by powers of q's
@@ -172,6 +173,12 @@ class StirlingTable:
     table, so a read that finds its entry never sees a half-written value and
     racing fills append each entry once.
 
+    Every column store holds ints: graded ints at a rational q, and tuples
+    of ints elsewhere, the coefficients of an integer polynomial at a
+    symbolic q and the integer coordinates in Z[zeta_n] at q = zeta_n.
+    ``_stored`` reads a cell as stored, and ``entry`` is the one decoder
+    into q's ring: a ``UniPoly``, a ``Fraction`` or a ``CycloElem``.
+
     At a rational q = a/b (b >= 1, a prime to b) the column store holds ints:
     ``col[t]`` is F(k + t, k) = E(k + t, k) b^g(k + t, k), with g(i, j) =
     s (C(i-1, 2) - C(j-1, 2)) for the first kind and s (j-1) (i-j) for the
@@ -182,8 +189,8 @@ class StirlingTable:
     F(i, j) = F(i-1, j-1) b^(s(i-j)) + N F(i-1, j), on ints.  [t]_q b^(t-1)
     is congruent to a^(t-1) modulo b, so N_t is prime to b, and by induction
     down the column so is every F: it is the reduced numerator, and
-    ``entry`` returns the Fraction F / b^g.  At q = 1 the fill is on ints
-    alone.
+    ``entry`` returns the Fraction F / b^g, g from ``_grade``.  At q = 1 the
+    fill is on ints alone, and b^g = 1.
 
     At q = zeta_n every weight ([t]_q)^s lies in Z[zeta_n], and so, down each
     column, does every entry.  The store holds each entry's power-basis
@@ -219,6 +226,8 @@ class StirlingTable:
             self._qnums = (ctx.from_zeta_powers([1] * i, 1) for i in count(r))
         # b of q = a/b, by which the column store is graded; None off Q
         self._den = q.value.denominator if isinstance(q, RationalQ) else None
+        # the diagonal 1 in the store's own form
+        self._one = 1 if self._den is not None else (1,) if ctx is None else ctx.one().num
 
     def weight(self, i: int):
         """([i]_q)^s for i >= r: the recurrence multiplier at a rational or
@@ -234,24 +243,35 @@ class StirlingTable:
                     weights.append(next(self._qnums) ** self.s)
         return weights[i - self.r]
 
-    def entry(self, n: int, k: int):
-        if k < 0 or n < 0 or k > n:
-            return 0
-        if n == k:
-            return self.q.one()
-        if k < self.r:
+    def _stored(self, n: int, k: int):
+        """Entry (n, k) as the column store holds it, filled on a miss: 0 off
+        the triangle and the store's own 1 on the diagonal."""
+        if n == k >= 0:
+            return self._one
+        if not self.r <= k < n:
             return 0
         cols = self._cols
         if k >= len(cols) or n - k >= len(cols[k]):
             self._fill(n, k)
-        value = cols[k][n - k]
-        if self._den is None:
-            return value if self._ctx is None else _make(self._ctx, value, 1)
+        return cols[k][n - k]
+
+    def _grade(self, n: int, k: int) -> int:
+        """g(n, k), the power of b that grades a stored entry at q = a/b."""
         if self.kind == "first":
-            g = self.s * (math.comb(n - 1, 2) - math.comb(k - 1, 2))
-        else:
-            g = self.s * (k - 1) * (n - k)
-        return Fraction(value, self._den**g)
+            return self.s * (math.comb(n - 1, 2) - math.comb(k - 1, 2))
+        return self.s * (k - 1) * (n - k)
+
+    def entry(self, n: int, k: int):
+        """Entry (n, k) in q's ring: ``_stored`` decoded, with 0 off the
+        triangle and q's one on the diagonal."""
+        if n == k >= 0:
+            return self.q.one()
+        if not self.r <= k < n:
+            return 0
+        value = self._stored(n, k)
+        if self._den is not None:
+            return Fraction(value, self._den ** self._grade(n, k))
+        return UniPoly(value) if self._ctx is None else _make(self._ctx, value, 1)
 
     def _fill(self, n: int, k: int):
         """Extend columns r..k, in order, so that column j reaches row
@@ -270,7 +290,7 @@ class StirlingTable:
             rational = self._den is not None
             ctx = self._ctx
             while len(cols) <= k:
-                cols.append([1 if rational else self.q.one() if ctx is None else ctx.one().num])
+                cols.append([self._one])
             first = self.kind == "first"
             symbolic = isinstance(self.q, SymbolicQ)
             step = self._den**self.s if rational else None  # b^s
@@ -280,14 +300,14 @@ class StirlingTable:
                 for i in range(j + len(col), n - (k - j) + 1):
                     index = i - 1 if first else j
                     if symbolic:
-                        coeffs = _times_qnum_power(col[-1].coeffs, index, self.s)
+                        coeffs = _times_qnum_power(col[-1], index, self.s)
                         if left is not None:
                             # never longer than coeffs: each product in
                             # (i-1, j-1) less its top factor is one in
                             # (i-1, j), and no factor tops the weight's degree
-                            addend = left[i - j].coeffs
+                            addend = left[i - j]
                             coeffs[: len(addend)] = map(operator.add, coeffs, addend)
-                        col.append(UniPoly(coeffs))
+                        col.append(tuple(coeffs))
                     elif rational:
                         below = 0 if left is None else left[i - j] * step ** (i - j)
                         col.append(below + self.weight(index).numerator * col[-1])
@@ -397,14 +417,14 @@ def stirling2_iterated(n: int, k: int, r: int = 1, s: int = 1, q: QPoint = Symbo
 
 
 def _packed(fs, ss):
-    """``(fs, ss, w)``: the two symbolic triangles with every ``UniPoly``
-    entry replaced by its value at q = 2^(8w), for the one byte width w that
-    covers every signed sum of ``orthogonality_check`` (see there); the int
-    zeros stay."""
+    """``(fs, ss, w)``: the two triangles of int tuples (symbolic
+    coefficients or root-of-unity coordinates) with every tuple replaced by
+    its value at q = 2^(8w), for the one byte width w that covers every
+    signed sum of ``orthogonality_check`` (see there); the int zeros stay."""
     size = len(fs)
-    # (length, largest |coefficient|) of each nonzero entry, None for a zero
+    # (length, largest |coefficient|) of each tuple, None for a zero
     f_shapes, s_shapes = (
-        [[(len(e.coeffs), max(map(abs, e.coeffs))) if e != 0 else None for e in row] for row in rows]
+        [[(len(e), max(map(abs, e))) if e != 0 else None for e in row] for row in rows]
         for rows in (fs, ss)
     )
     bound = 0
@@ -421,30 +441,8 @@ def _packed(fs, ss):
                 if total > bound:
                     bound = total
     w = kronecker_width(bound + 1)
-    packed = [
-        [[kronecker_pack(e.coeffs, w) if e != 0 else 0 for e in row] for row in rows] for rows in (fs, ss)
-    ]
+    packed = [[[kronecker_pack(e, w) if e != 0 else 0 for e in row] for row in rows] for rows in (fs, ss)]
     return packed[0], packed[1], w
-
-
-def _over_common_denominator(fs, ss):
-    """``(fs, ss, d)``: the two rational triangles scaled to ints by d, the
-    lcm of every entry's denominator."""
-    d = math.lcm(*(e.denominator for rows in (fs, ss) for row in rows for e in row))
-    scaled = [[[e.numerator * (d // e.denominator) for e in row] for row in rows] for rows in (fs, ss)]
-    return scaled[0], scaled[1], d
-
-
-def _lifted(fs, ss):
-    """``(fs, ss, d)``: the two triangles at a root of unity with every field
-    entry e replaced by the integer polynomial of the coordinates of e d, d
-    the lcm of every entry's denominator; the int zeros stay."""
-    d = math.lcm(*(e.den for rows in (fs, ss) for row in rows for e in row if e != 0))
-    lifted = [
-        [[UniPoly(tuple(c * (d // e.den) for c in e.num)) if e != 0 else 0 for e in row] for row in rows]
-        for rows in (fs, ss)
-    ]
-    return lifted[0], lifted[1], d
 
 
 def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = SymbolicQ()) -> CheckResult:
@@ -454,16 +452,17 @@ def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = Symbolic
     sum_k (-1)^(n-k) [n k] {k m} = delta(n, m) and
     sum_k (-1)^(k-m) {n k} [k m] = delta(n, m).
 
-    Both triangles are read once, through the tables' own ``entry``, into
-    (n_max+1) x (n_max+1) matrices, and the sums run on plain ints.
+    Both triangles are read once, from the tables' column stores (see
+    :class:`StirlingTable`), into (n_max+1) x (n_max+1) matrices of ints,
+    and the sums run on plain ints.  No entry is decoded into q's ring.
 
-    At a symbolic q every entry is replaced by its value at q = 2^(8w), one
-    int.  Each coefficient of a product a b of two entries is a sum of at
-    most min(len a, len b) products of a coefficient of a and one of b, so
-    it is at most min(len a, len b) max|a| max|b| in absolute value.
-    Summing that over the terms k of one sum, adding 1 for delta and taking
-    the largest value over every (n, m) and both identities gives a bound B
-    on every coefficient of every sum minus delta, and w =
+    At a symbolic q every coefficient tuple is replaced by its value at
+    q = 2^(8w), one int.  Each coefficient of a product a b of two entries
+    is a sum of at most min(len a, len b) products of a coefficient of a and
+    one of b, so it is at most min(len a, len b) max|a| max|b| in absolute
+    value.  Summing that over the terms k of one sum, adding 1 for delta
+    and taking the largest value over every (n, m) and both identities gives
+    a bound B on every coefficient of every sum minus delta, and w =
     ``kronecker_width(B)`` gives B < 2^(8w-1).  That makes the comparison
     with delta exact by one lemma: an integer polynomial whose coefficients
     are all at most 2^(8w-1) in absolute value is zero exactly when its
@@ -472,41 +471,41 @@ def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = Symbolic
     2^(8w).)  Every nonzero entry is one term of a sum whose other factor is
     a diagonal 1, so B also covers every coefficient that is packed.
 
-    At a rational q every entry e is replaced by the int e D, with D the lcm
-    of all the entries' denominators.  Each sum is then D^2 times its value,
-    and is compared with delta D^2: exact for any Fraction entries.
+    At q = zeta_n the stored coordinate tuples, integral, are packed the
+    same way as integer polynomials in zeta.  A sum is then the packed
+    value of the sum of the unreduced convolutions, a lift of the field
+    sum.  Its 2 phi(n) - 1 coefficients are unpacked, reduced modulo Phi_n
+    once, and compared with the coordinates of delta.
 
-    At q = zeta_n every entry e is lifted to the integer polynomial in zeta
-    of the coordinates of e D, D the lcm of all the entries' denominators,
-    and packed as at a symbolic q.  A sum is then the packed value of the
-    sum of the unreduced convolutions, D^2 times a lift of the field sum.
-    Its 2 phi(n) - 1 coefficients are unpacked, reduced modulo Phi_n once,
-    and compared with the coordinates of delta D^2.
+    At a rational q = a/b the stored F = E b^g of each triangle is scaled
+    to E b^G, G the largest grade g in that triangle.  Each sum is then
+    b^(G1+G2) times its value and is compared with delta b^(G1+G2).
     """
     if n_max < 0:
         raise BadParams("need n_max >= 0")
     size = n_max + 1
-    first = _table("first", r, s, q).entry
-    second = _table("second", r, s, q).entry
-    fs = [[first(n, k) for k in range(size)] for n in range(size)]
-    ss = [[second(n, k) for k in range(size)] for n in range(size)]
+    tables = _table("first", r, s, q), _table("second", r, s, q)
+    fs, ss = ([[tab._stored(n, k) for k in range(size)] for n in range(size)] for tab in tables)
     unit = 1
     equals = operator.eq
-    if isinstance(q, SymbolicQ):
-        fs, ss, _ = _packed(fs, ss)
-    elif isinstance(q, RationalQ):
-        fs, ss, d = _over_common_denominator(fs, ss)
-        unit = d * d
+    if isinstance(q, RationalQ):
+        b = q.value.denominator
+        scaled = []
+        for tab, rows in zip(tables, (fs, ss)):
+            grades = [[tab._grade(n, k) if r <= k < n else 0 for k in range(size)] for n in range(size)]
+            top = max(map(max, grades))
+            scaled.append([[e * b ** (top - g) for e, g in zip(row, gs)] for row, gs in zip(rows, grades)])
+            unit *= b**top
+        fs, ss = scaled
     else:
-        fs, ss, d = _lifted(fs, ss)
         fs, ss, w = _packed(fs, ss)
-        unit = d * d
-        ctx = q.ctx
-        size_conv = 2 * ctx.degree - 1
-        zeros = (0,) * (ctx.degree - 1)
+        if isinstance(q, RootOfUnityQ):
+            ctx = q.ctx
+            size_conv = 2 * ctx.degree - 1
+            zeros = (0,) * (ctx.degree - 1)
 
-        def equals(acc, delta):
-            return ctx.reduce(kronecker_unpack(acc, w, size_conv)) == (delta, *zeros)
+            def equals(acc, delta):
+                return ctx.reduce(kronecker_unpack(acc, w, size_conv)) == (delta, *zeros)
 
     result = CheckResult(["orthogonality"])
     for n in range(size):
@@ -533,7 +532,8 @@ def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = Symbolic
 def rstirling1(n: int, k: int, r: int) -> int:
     """Classical r-Stirling number of the first kind: the first-kind table at
     level 1 and q = 1, where [n, k] = [n-1, k-1] + (n-1) [n-1, k], an int
-    fill.  It shares that table's column store and lock."""
+    fill.  It reads that table's column store, where b = 1 makes each
+    stored int the value itself, and shares its lock."""
     if r < 1:
         raise BadParams("need r >= 1")
-    return int(_table("first", r, 1, RationalQ(1)).entry(n, k))
+    return _table("first", r, 1, RationalQ(1))._stored(n, k)

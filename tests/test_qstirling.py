@@ -332,7 +332,7 @@ def test_orthogonality_records_a_corrupted_entry(monkeypatch, kind, fault):
     r, s, n_max, n0, k0 = 2, 2, 9, 8, 4
     assert orthogonality_check(n_max, r, s, SYM).passed
     col = qstirling._table(kind, r, s, SYM)._cols[k0]
-    entry = col[n0 - k0]
+    entry = UniPoly(col[n0 - k0])
     if fault == "alias":
         # q^(j+1) - 2^(8w) q^j vanishes at q = 2^(8w) for the clean width w
         w = _check_width(r, s, n_max)
@@ -341,7 +341,7 @@ def test_orthogonality_records_a_corrupted_entry(monkeypatch, kind, fault):
         assert delta(2 ** (8 * w)) == 0
     else:
         delta = UniPoly((int(fault),))
-    col[n0 - k0] = entry + delta
+    col[n0 - k0] = (entry + delta).coeffs
     res = orthogonality_check(n_max, r, s, SYM)
     want = _reference_failures(r, s, n_max)
     assert want and res.failures == want
@@ -349,57 +349,80 @@ def test_orthogonality_records_a_corrupted_entry(monkeypatch, kind, fault):
 
 
 def _plus_one_on_top(e):
-    return UniPoly(e.coeffs[:-1] + (e.coeffs[-1] + 1,))
+    return e[:-1] + (e[-1] + 1,)
 
 
 def _plus_one_on_constant(e):
-    return UniPoly((e.coeffs[0] + 1,) + e.coeffs[1:])
+    return (e[0] + 1,) + e[1:]
 
 
 @pytest.mark.parametrize(
-    "q, kind, n0, k0, corrupt, stored",
+    "q, kind, n0, k0, corrupt",
     [
-        (SYM, "first", 14, 1, _plus_one_on_top, True),
-        (SYM, "second", 9, 4, _plus_one_on_constant, True),
-        (RationalQ(F(2, 3)), "first", 12, 5, lambda e: e + F(1, 7**20), True),
-        (RationalQ(F(2, 3)), "second", 9, 4, lambda e: e + F(1, 7**20), True),
-        (RationalQ(F(-1)), "first", 14, 1, lambda e: e + 1, True),
-        (RationalQ(F(-1)), "second", 9, 4, lambda e: e + 1, True),
-        # + zeta^5 on the stored coordinates
-        (RootOfUnityQ(7), "first", 14, 1, lambda e: e[:5] + (e[5] + 1,), True),
-        # the store at a root of unity is integral, so the value read back is
-        # the one changed
-        (RootOfUnityQ(7), "second", 9, 4, lambda e: e + F(1, 7**20), False),
+        (SYM, "first", 14, 1, _plus_one_on_top),
+        (SYM, "second", 9, 4, _plus_one_on_constant),
+        (RationalQ(F(2, 3)), "first", 12, 5, lambda e: e + F(1, 7**20)),
+        (RationalQ(F(2, 3)), "second", 9, 4, lambda e: e + F(1, 7**20)),
+        (RationalQ(F(-1)), "first", 14, 1, lambda e: e + 1),
+        (RationalQ(F(-1)), "second", 9, 4, lambda e: e + 1),
+        # + zeta^5 and + 1 on the stored coordinates
+        (RootOfUnityQ(7), "first", 14, 1, lambda e: e[:5] + (e[5] + 1,)),
+        (RootOfUnityQ(7), "second", 9, 4, _plus_one_on_constant),
     ],
     ids=["symbolic-top", "symbolic-constant", "2/3-first", "2/3-second", "-1-first", "-1-second",
-         "root7-top", "root7-denominator"],
+         "root7-top", "root7-constant"],
 )
 def test_orthogonality_at_the_widest_sizes_fails_on_one_corrupted_entry(
-    monkeypatch, q, kind, n0, k0, corrupt, stored
+    monkeypatch, q, kind, n0, k0, corrupt
 ):
-    # the tables of a passing check at (n_max, r, s) = (14, 1, 3), one entry
-    # changed, in the store or as ``entry`` reads it: the packed or
-    # common-denominator sums, and at a root of unity their reduction modulo
-    # Phi_n, must see it
+    # the tables of a passing check at (n_max, r, s) = (14, 1, 3), one stored
+    # entry changed: the packed or graded sums, and at a root of unity their
+    # reduction modulo Phi_n, must see it
     monkeypatch.setattr(qstirling, "_TABLES", {})
     n_max, r, s = 14, 1, 3
     assert orthogonality_check(n_max, r, s, q).passed
-    table = qstirling._table(kind, r, s, q)
-    if stored:
-        col = table._cols[k0]
-        col[n0 - k0] = corrupt(col[n0 - k0])
-    else:
-        clean = table.entry
-
-        def entry(n, k):
-            value = clean(n, k)
-            return corrupt(value) if (n, k) == (n0, k0) else value
-
-        monkeypatch.setattr(table, "entry", entry)
+    col = qstirling._table(kind, r, s, q)._cols[k0]
+    col[n0 - k0] = corrupt(col[n0 - k0])
     res = orthogonality_check(n_max, r, s, q)
     assert not res.passed
     assert res.failures == _reference_failures(r, s, n_max, q)
     assert res.cases == 2 * (n_max + 1) ** 2
+
+
+def test_orthogonality_reads_the_column_stores_and_decodes_no_entry(monkeypatch):
+    # the check reads the stores directly, so an ``entry`` that raises,
+    # even while the fresh tables fill, leaves it passing
+    monkeypatch.setattr(qstirling, "_TABLES", {})
+
+    def entry(self, n, k):
+        raise AssertionError("orthogonality_check decoded an entry")
+
+    monkeypatch.setattr(qstirling.StirlingTable, "entry", entry)
+    for q in (SYM, RationalQ(F(-5, 7)), RootOfUnityQ(7)):
+        for r in (1, 2, 3):
+            for s in (1, 2, 3):
+                res = orthogonality_check(10, r, s, q)
+                assert res.passed and res.cases == 2 * 11 * 11, (q, r, s)
+
+
+def test_every_stored_cell_is_an_int_or_a_tuple_of_ints(monkeypatch):
+    # graded ints at a rational q, int coefficient or coordinate tuples
+    # elsewhere: no UniPoly, Fraction or CycloElem is stored
+    for q in (SYM, RationalQ(F(2, 3)), RationalQ(F(-1)), RootOfUnityQ(7), RootOfUnityQ(12)):
+        monkeypatch.setattr(qstirling, "_TABLES", {})
+        for kind in ("first", "second"):
+            for r in (1, 2):
+                for s in (1, 3):
+                    table = qstirling._table(kind, r, s, q)
+                    table.entry(14, 7)
+                    cells = [c for col in table._cols[r:] for c in col]
+                    # columns r..7, each from its diagonal down eight rows
+                    assert len(cells) == 8 * (8 - r)
+                    for c in cells:
+                        if isinstance(q, RationalQ):
+                            assert type(c) is int, (q, kind, r, s, c)
+                        else:
+                            assert type(c) is tuple and all(type(x) is int for x in c), (q, kind, r, s, c)
 
 
 def test_packed_width_covers_the_largest_signed_sum():
@@ -412,28 +435,27 @@ def test_packed_width_covers_the_largest_signed_sum():
         for length in (1, 2, 7, 30):
             for bits in range(1, 70, 3):
                 for top in (2**bits - 1, 2**bits):
-                    worst = UniPoly([top] * length)
-                    rows = [
-                        [worst if k < n else UniPoly((1,)) if k == n else 0 for k in range(size)]
-                        for n in range(size)
-                    ]
+                    worst = (top,) * length
+                    rows = [[worst if k < n else (1,) if k == n else 0 for k in range(size)] for n in range(size)]
                     fs, ss, w = qstirling._packed(rows, rows)
                     # two terms with a diagonal 1 and n_max - 1 products of two worst
                     bound = 2 * top + (n_max - 1) * length * top * top if n_max else 1
                     assert w == kronecker_width(bound + 1)
-                    literal = sum((rows[n_max][k] * rows[k][0] for k in range(size)), UniPoly())
+                    literal = sum((UniPoly(rows[n_max][k]) * UniPoly(rows[k][0]) for k in range(size)), UniPoly())
                     for sign in (1, -1):
                         total = sign * sum(fs[n_max][k] * ss[k][0] for k in range(size)) - 1
                         want = [sign * c for c in literal.coeffs]
                         want[0] -= 1
                         assert kronecker_unpack(total, w, len(want)) == want
     # a bound of 2^7 - 1 needs the +1 for delta: one byte would not hold -2^7
-    one = UniPoly((1,))
-    fs, ss, w = qstirling._packed([[one, 0], [UniPoly((63,)), one]], [[one, 0], [UniPoly((64,)), one]])
+    one = (1,)
+    fs, ss, w = qstirling._packed([[one, 0], [(63,), one]], [[one, 0], [(64,), one]])
     assert w == 2 and kronecker_unpack(-(fs[1][0] * ss[0][0] + fs[1][1] * ss[1][0]) - 1, w, 1) == [-128]
     # the widest check of rational_identities packs at 13 bytes
-    fs = [[stirling1(n, k, 1, 3, SYM) for k in range(15)] for n in range(15)]
-    ss = [[stirling2(n, k, 1, 3, SYM) for k in range(15)] for n in range(15)]
+    fs, ss = (
+        [[qstirling._table(kind, 1, 3, SYM)._stored(n, k) for k in range(15)] for n in range(15)]
+        for kind in ("first", "second")
+    )
     assert qstirling._packed(fs, ss)[2] <= 13
 
 
