@@ -445,6 +445,19 @@ def _packed(fs, ss):
     return packed[0], packed[1], w
 
 
+def _product_is_identity(a, b, equals, unit):
+    """Rows of bools: ``equals((a b)[n][m], delta(n, m) unit)`` at each
+    (n, m), for two square lower-triangular matrices of ints (packed or
+    scaled triangles, see :func:`orthogonality_check`).  Entry (n, m) of the
+    product sums the terms k = m..n; the others vanish."""
+    cols = list(zip(*b))
+    holds = []
+    for n, row in enumerate(a):
+        sums = (sum(map(operator.mul, row[m : n + 1], col[m : n + 1])) for m, col in enumerate(cols))
+        holds.append([equals(t, unit if n == m else 0) for m, t in enumerate(sums)])
+    return holds
+
+
 def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = SymbolicQ()) -> CheckResult:
     """Verify both inversion identities between the two triangles.
 
@@ -455,6 +468,23 @@ def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = Symbolic
     Both triangles are read once, from the tables' column stores (see
     :class:`StirlingTable`), into (n_max+1) x (n_max+1) matrices of ints,
     and the sums run on plain ints.  No entry is decoded into q's ring.
+
+    With F and S the two matrices and D = diag((-1)^n), the identities read
+    (D F D) S = I and S (D F D) = I.  F is signed to D F D once, and each
+    identity is then one plain product, summed by ``_product_is_identity``.
+    A = D F D and B = S are lower unitriangular whatever the column stores
+    hold: ``_stored`` gives 0 above the diagonal and the store's own 1
+    (``_one``) on it, and reads no store cell for the diagonal.  So entry
+    (n, m) of either product sums only k = m..n, and the first identity
+    holding at every (n, m) of the square is A B = I for the two square
+    matrices.  Over a commutative ring that gives det A det B = 1, so A is
+    invertible, B is its inverse and B A = I: the second identity holds
+    too.  Each comparison below is exact in q's ring (Z[q] by the lemma
+    below, Q, and Z[zeta_n]), so the second identity adds nothing once the
+    first passes, and it is summed only when the first fails somewhere, to
+    locate the failures.  The record order is the same either way: identity
+    1 then identity 2 for each (n, m), n outer and m inner, 2 (n_max+1)^2
+    cases in all.
 
     At a symbolic q every coefficient tuple is replaced by its value at
     q = 2^(8w), one int.  Each coefficient of a product a b of two entries
@@ -507,25 +537,15 @@ def orthogonality_check(n_max: int, r: int = 1, s: int = 1, q: QPoint = Symbolic
             def equals(acc, delta):
                 return ctx.reduce(kronecker_unpack(acc, w, size_conv)) == (delta, *zeros)
 
+    # F to D F D, so that both identities are plain products (see above)
+    fs = [[-e if (n - k) % 2 else e for k, e in enumerate(row)] for n, row in enumerate(fs)]
+    holds1 = _product_is_identity(fs, ss, equals, unit)
+    holds2 = holds1 if all(map(all, holds1)) else _product_is_identity(ss, fs, equals, unit)
     result = CheckResult(["orthogonality"])
     for n in range(size):
         for m in range(size):
-            acc1 = 0
-            acc2 = 0
-            for k in range(m, n + 1):  # the terms with k < m or k > n vanish
-                f_nk = fs[n][k]
-                s_km = ss[k][m]
-                if not (f_nk == 0 or s_km == 0):
-                    t = f_nk * s_km
-                    acc1 = acc1 + (t if (n - k) % 2 == 0 else -t)
-                s_nk = ss[n][k]
-                f_km = fs[k][m]
-                if not (s_nk == 0 or f_km == 0):
-                    t = s_nk * f_km
-                    acc2 = acc2 + (t if (k - m) % 2 == 0 else -t)
-            delta = unit if n == m else 0
-            result.record(equals(acc1, delta), identity=1, n=n, m=m)
-            result.record(equals(acc2, delta), identity=2, n=n, m=m)
+            result.record(holds1[n][m], identity=1, n=n, m=m)
+            result.record(holds2[n][m], identity=2, n=n, m=m)
     return result
 
 

@@ -389,6 +389,67 @@ def test_orthogonality_at_the_widest_sizes_fails_on_one_corrupted_entry(
     assert res.cases == 2 * (n_max + 1) ** 2
 
 
+def _plus_one(cell):
+    # + 1 on a graded int, or on the constant coefficient or coordinate of a tuple
+    return cell + 1 if isinstance(cell, int) else _plus_one_on_constant(cell)
+
+
+ORTHOGONALITY_QS = pytest.mark.parametrize(
+    "q", [SYM, RationalQ(F(-5, 7)), RootOfUnityQ(7)], ids=["symbolic", "-5/7", "root7"]
+)
+
+
+@ORTHOGONALITY_QS
+def test_orthogonality_sums_the_second_identity_only_to_locate_failures(monkeypatch, q):
+    # the first identity holding everywhere implies the second, so a passing
+    # check forms one product of the two triangles and a failing one two
+    monkeypatch.setattr(qstirling, "_TABLES", {})
+    calls = []
+    product = qstirling._product_is_identity
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(qstirling, "_product_is_identity", counted)
+    n_max, r, s = 10, 2, 2
+    res = orthogonality_check(n_max, r, s, q)
+    assert res.passed and res.cases == 2 * 11 * 11
+    assert len(calls) == 1
+    calls.clear()
+    col = qstirling._table("second", r, s, q)._cols[4]
+    col[3] = _plus_one(col[3])
+    res = orthogonality_check(n_max, r, s, q)
+    assert not res.passed and res.cases == 2 * 11 * 11
+    assert len(calls) == 2
+
+
+@ORTHOGONALITY_QS
+@pytest.mark.parametrize(
+    "cells",
+    [
+        (("first", 7, 3), ("second", 9, 2)),
+        (("first", 6, 2), ("first", 10, 5)),
+        (("second", 5, 3), ("second", 10, 9)),
+    ],
+    ids=["one-in-each", "two-in-first", "two-in-second"],
+)
+def test_orthogonality_locates_two_corrupted_entries(monkeypatch, q, cells):
+    # the failure path sums both identities: its records must be the literal
+    # sums' failures, in the same order
+    monkeypatch.setattr(qstirling, "_TABLES", {})
+    n_max, r, s = 10, 2, 2
+    assert orthogonality_check(n_max, r, s, q).passed
+    for kind, n0, k0 in cells:
+        col = qstirling._table(kind, r, s, q)._cols[k0]
+        col[n0 - k0] = _plus_one(col[n0 - k0])
+    res = orthogonality_check(n_max, r, s, q)
+    want = _reference_failures(r, s, n_max, q)
+    assert want and res.failures == want
+    assert {f["identity"] for f in want} == {1, 2}
+    assert res.cases == 2 * (n_max + 1) ** 2
+
+
 def test_orthogonality_reads_the_column_stores_and_decodes_no_entry(monkeypatch):
     # the check reads the stores directly, so an ``entry`` that raises,
     # even while the fresh tables fill, leaves it passing
