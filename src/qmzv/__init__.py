@@ -2,9 +2,10 @@
 values at roots of unity.
 
 The package computes Z_n(zeta_n; m, s) by several independent exact routes
-(brute enumeration in Q(zeta_n), a generating product, a q-Stirling identity,
-Bell polynomials, Hessenberg determinants, and closed forms for s <= 3 or
-m = 1) and cross-verifies them, along with the supporting identities for
+(brute enumeration on packed integers, rationalized once in Q(zeta_n), a
+generating product, a q-Stirling identity, Bell polynomials, Hessenberg
+determinants, and closed forms for s <= 3 or m = 1; ``zeta.ROUTES`` lists
+them) and cross-verifies them, along with the supporting identities for
 generalized q-Stirling numbers, sequence transforms, and Bernoulli-family
 numbers.
 """

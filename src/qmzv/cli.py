@@ -25,7 +25,6 @@ from .exactnum import UniPoly, poly_str
 from .qstirling import BadParams, parse_qpoint, rstirling1, stirling1, stirling2
 from .zeta import DEFAULT_BRUTE_BUDGET, BudgetExceeded, UnsupportedClosedForm
 
-_METHODS = ("brute", "product", "stirling", "bell", "det", "closed")
 _TABLE_KINDS = ("zeta", "stirling1", "stirling2", "rstirling", "bernoulli")
 _SUITES = (*verify.SUITES, "all")
 
@@ -271,7 +270,7 @@ def _build_parser() -> _Parser:
     p_value.add_argument("--n", type=int, required=True)
     p_value.add_argument("--m", type=int, required=True)
     p_value.add_argument("--s", type=int, required=True)
-    p_value.add_argument("--method", choices=_METHODS, default="product")
+    p_value.add_argument("--method", choices=tuple(zeta.ROUTES), default="product")
     p_value.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_value.add_argument("--budget", type=int)
     p_value.add_argument("--approx", action="store_true")

@@ -42,21 +42,21 @@ def _case_routes(n, m, s, budget):
     # the Q(zeta_n) product is the reference and the complement engine joins
     # every case; the multisection, whose cost doubles with s, and the Newton
     # engine, whose cost grows as s^2, each join when s <= 6 or when
-    # ``_product_row`` picks them
+    # ``_product_row`` picks them; the other routes come from ``zeta.ROUTES``
     engines = zeta.ROW_ENGINES
     reference = zeta._zeta_multi(n, m, s, zeta._field_row)
-    routes = {
-        "stirling": lambda: zeta.zeta_via_stirling(n, m, s).value,
-        "bell": lambda: zeta.zeta_bell(n, m, s).value,
-        "det": lambda: zeta.zeta_det(n, m, s).value,
-        "complement": lambda: zeta._zeta_multi(n, m, s, engines["complement"]),
-    }
+
+    def from_table(name):
+        return lambda: zeta.ROUTES[name](n, m, s, budget).value
+
+    routes = {name: from_table(name) for name in ("stirling", "bell", "det")}
+    routes["complement"] = lambda: zeta._zeta_multi(n, m, s, engines["complement"])
     picked = zeta._row_engine(n, s)
     for name in ("multisection", "newton"):
         if s <= 6 or picked == name:
             routes[name] = lambda engine=engines[name]: zeta._zeta_multi(n, m, s, engine)
     if _brute_fits(n, m, budget):
-        routes["brute"] = lambda: zeta.zeta_brute(n, m, s, budget=budget).value
+        routes["brute"] = from_table("brute")
     # each route runs on its own, so one that raises is reported beside the
     # others' values instead of hiding them
     values = {}

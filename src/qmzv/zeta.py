@@ -55,6 +55,10 @@ return the same rational:
                            their last step;
 * closed forms for s = 1, 2, 3 and the degenerate-Bernoulli form for m = 1.
 
+``ROUTES`` is the one list of these routes: it maps each ``--method`` name
+to its function, ``zeta_value`` dispatches through it, and the CLI, ``verify
+routes`` and the tests read their route names from it.
+
 The module also builds the subset-product polynomials F(s, l)(X, Y) from
 power sums (Newton's identities, by ``exactnum``'s exp and log loops) and
 checks the bivariate log-identity that generates all of these values at once.
@@ -863,6 +867,39 @@ REFERENCE_CONSTANT_TERMS = (
 )
 
 
+def _zeta_closed(n: int, m: int, s: int) -> ZetaValue:
+    """The closed form that covers (m, s): m = 0, then s = 1, 2 or 3, then
+    the degenerate-Bernoulli form at m = 1."""
+    if m == 0:
+        value = Fraction(1)
+    elif s == 1:
+        value = zeta_m1_closed(n, m)
+    elif s == 2:
+        value = zeta_m2_closed(n, m)
+    elif s == 3:
+        value = zeta_m3_closed(n, m)
+    elif m == 1:
+        value = zeta_1s_degenerate_bernoulli(n, s)
+    else:
+        raise UnsupportedClosedForm(f"no closed form for m={m}, s={s}")
+    return ZetaValue(value, "closed", (n, m, s))
+
+
+#: The one list of routes: each ``--method`` name, in the order ``qmzv value
+#: --help`` shows, mapped to a callable (n, m, s, budget) -> ZetaValue; only
+#: brute reads the budget.  An entry looks its function up by name when it
+#: is called, so a function rebound on this module (a tracer's wrapper, a
+#: test's planted fault) is the one that runs.
+ROUTES = {
+    "brute": lambda n, m, s, budget: zeta_brute(n, m, s, budget=budget),
+    "product": lambda n, m, s, budget: ZetaValue(_zeta_multi(n, m, s), "product", (n, m, s)),
+    "stirling": lambda n, m, s, budget: zeta_via_stirling(n, m, s),
+    "bell": lambda n, m, s, budget: zeta_bell(n, m, s),
+    "det": lambda n, m, s, budget: zeta_det(n, m, s),
+    "closed": lambda n, m, s, budget: _zeta_closed(n, m, s),
+}
+
+
 def zeta_value(
     n: int,
     m: int,
@@ -870,28 +907,9 @@ def zeta_value(
     method: str = "product",
     budget: int = DEFAULT_BRUTE_BUDGET,
 ) -> ZetaValue:
-    """Route dispatcher used by the command-line front end."""
+    """Z_n(zeta_n; m, s) by the route of :data:`ROUTES` named ``method``;
+    the dispatcher of the command-line front end."""
     _validate(n, m, s)
-    if method == "product":
-        return ZetaValue(_zeta_multi(n, m, s), "product", (n, m, s))
-    if method == "brute":
-        return zeta_brute(n, m, s, budget=budget)
-    if method == "stirling":
-        return zeta_via_stirling(n, m, s)
-    if method == "bell":
-        return zeta_bell(n, m, s)
-    if method == "det":
-        return zeta_det(n, m, s)
-    if method == "closed":
-        if m == 0:
-            return ZetaValue(Fraction(1), "closed", (n, m, s))
-        if s == 1:
-            return ZetaValue(zeta_m1_closed(n, m), "closed", (n, m, s))
-        if s == 2:
-            return ZetaValue(zeta_m2_closed(n, m), "closed", (n, m, s))
-        if s == 3:
-            return ZetaValue(zeta_m3_closed(n, m), "closed", (n, m, s))
-        if m == 1:
-            return ZetaValue(zeta_1s_degenerate_bernoulli(n, s), "closed", (n, m, s))
-        raise UnsupportedClosedForm(f"no closed form for m={m}, s={s}")
-    raise ValueError(f"unknown method {method!r}")
+    if method not in ROUTES:
+        raise ValueError(f"unknown method {method!r}")
+    return ROUTES[method](n, m, s, budget)

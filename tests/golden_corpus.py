@@ -33,11 +33,10 @@ import pathlib
 import re
 import sys
 
-from qmzv import cli
+from qmzv import cli, zeta
 
 DIGEST_FILE = pathlib.Path(__file__).with_name("golden_corpus.json")
 
-_METHODS = ("brute", "product", "stirling", "bell", "det", "closed")
 _Q_POINTS = ("symbolic", "root:1", "root:2", "root:7", "2/3")
 
 
@@ -47,7 +46,7 @@ def _args(*parts) -> list:
 
 def _groups() -> dict:
     groups = {}
-    for method in _METHODS:
+    for method in zeta.ROUTES:
         for n in range(2, 14):
             groups[f"value-{method}-n{n}"] = [
                 _args("value", "--n", n, "--m", m, "--s", s, "--method", method)

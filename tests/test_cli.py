@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmzv import cli, seqlib, verify
+from qmzv import cli, seqlib, verify, zeta
 from qmzv.util import CheckResult
 
 F = Fraction
@@ -430,7 +430,7 @@ def _value_draws(seed, count):
         if i % 2:
             n = rng.randint(2, 30)
             m, s = rng.randint(0, n + 2), rng.randint(1, 6)
-            method = rng.choice(cli._METHODS)
+            method = rng.choice(tuple(zeta.ROUTES))
         else:
             n, m, s = rng.randint(2, 10**6), rng.randint(0, 6), rng.randint(1, 16)
             method = rng.choice(("product", "closed"))

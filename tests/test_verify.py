@@ -224,3 +224,20 @@ def test_a_route_that_raises_is_reported_beside_the_others(capsys, monkeypatch):
     assert sorted(pairs) == ["bell", "det", "newton"]
     assert pairs["newton"].startswith("InexactDivision: ")
     assert "newton" in case["routes"] and "brute" not in case["routes"]
+
+
+def test_verify_routes_runs_the_routes_of_the_live_table(capsys, monkeypatch):
+    # verify routes reaches Bell through zeta.ROUTES, which looks zeta_bell up
+    # when it runs, so a value planted there fails every routes case, by Bell
+    z = verify.zeta
+    real = z.zeta_bell
+    monkeypatch.setattr(z, "zeta_bell", lambda n, m, s: z.ZetaValue(real(n, m, s).value + 1, "bell", (n, m, s)))
+    argv = ["verify", "routes", "--n-max", "6", "--m-max", "3", "--s-max", "2", "--budget", "0"]
+    code = cli.main(argv + ["--format", "json"])
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert code == 4
+    assert sorted(f["case"] for f in failures) == sorted(
+        f"routes n={n} m={m} s={s}" for n in range(2, 7) for m in range(1, 4) for s in (1, 2)
+    )
+    for f in failures:
+        assert [pair.split("=")[0] for pair in f["actual"].split("; ")] == ["bell"], f

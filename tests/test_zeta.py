@@ -813,13 +813,29 @@ def test_zeta_poly_detects_non_polynomial_values(monkeypatch):
 
 
 def test_zeta_value_dispatch():
-    assert zeta_value(7, 2, 2, "closed").value == 1
+    import argparse
+
+    from qmzv import cli
+
+    # the one route table; --help, the golden corpus's group order and the
+    # seeded picks of test_cli's value draws all follow its order
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (method,) = [a for a in sub.choices["value"]._actions if a.dest == "method"]
+    assert method.choices == tuple(zmod.ROUTES) == ("brute", "product", "stirling", "bell", "det", "closed")
+    for name in zmod.ROUTES:
+        got = zeta_value(13, 4, 3, name)
+        assert (got.method, got.value, got.params) == (name, F(3045, 13), (13, 4, 3))
     assert zeta_value(5, 0, 3, "product").value == 1
     assert zeta_value(9, 3, 1, "product").value == 14
+    # the closed-form ladder's other rungs (the loop took s = 3): m = 0,
+    # s = 1 and 2, then m = 1, then the refusal
+    assert zeta_value(5, 0, 7, "closed").value == 1
+    assert zeta_value(9, 3, 1, "closed").value == 14
+    assert zeta_value(7, 2, 2, "closed").value == 1
     assert zeta_value(6, 1, 5, "closed").value == zeta_brute(6, 1, 5).value
-    with pytest.raises(UnsupportedClosedForm):
+    with pytest.raises(UnsupportedClosedForm, match="no closed form for m=2, s=5"):
         zeta_value(6, 2, 5, "closed")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
         zeta_value(6, 2, 1, "bogus")
 
 
@@ -862,7 +878,7 @@ def test_no_route_reaches_polynomial_euclid(monkeypatch, capsys):
         for s in (1, 2, 3):
             for m in range(n + 2):  # m >= n included
                 values = set()
-                for method in ("brute", "product", "stirling", "bell", "det", "closed"):
+                for method in zmod.ROUTES:
                     argv = ["value", "--n", str(n), "--m", str(m), "--s", str(s),
                             "--method", method, "--format", "json"]
                     assert cli.main(argv) == 0, argv
