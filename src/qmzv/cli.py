@@ -10,7 +10,6 @@ report.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -23,6 +22,7 @@ from fractions import Fraction
 from . import seqlib, verify, zeta
 from .exactnum import UniPoly, poly_str
 from .qstirling import BadParams, parse_qpoint, rstirling1, stirling1, stirling2
+from .util import any_size_ints
 from .zeta import DEFAULT_BRUTE_BUDGET, BudgetExceeded, UnsupportedClosedForm
 
 _TABLE_KINDS = ("zeta", "stirling1", "stirling2", "rstirling", "bernoulli")
@@ -44,24 +44,6 @@ def _format_value(v) -> str:
         return str(v)
     # cyclotomic element: print as a polynomial in z = zeta_n
     return poly_str(UniPoly(v.coords), "z")
-
-
-@contextlib.contextmanager
-def _any_size_ints():
-    """Lift the interpreter's limit on the digits of an int turned into a
-    string (4300 by default; absent before Python 3.10.7) for the block, and
-    restore it after.  ``value`` and ``table`` format and write their output
-    inside one, so exact values of any size print; their inputs are parsed
-    outside it, under the limit."""
-    if not hasattr(sys, "get_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 def _emit(text: str, out):
@@ -117,7 +99,7 @@ def _budget(args) -> int:
 
 def cmd_value(args) -> int:
     zv = zeta.zeta_value(args.n, args.m, args.s, method=args.method, budget=_budget(args))
-    with _any_size_ints():
+    with any_size_ints():
         header = ["n", "m", "s", "method", "value"]
         row = [args.n, args.m, args.s, zv.method, str(zv.value)]
         payload = dict(zip(header, row))
@@ -163,7 +145,7 @@ def cmd_table(args) -> int:
     if n_max is not None and n_max < 0:
         raise BadParams("--n-max must be >= 0")
     q = parse_qpoint(args.q) if args.table in ("stirling1", "stirling2") else None
-    with _any_size_ints():
+    with any_size_ints():
         header, rows, payload = _table_rows(args, q)
         _render_rows(args.format, header, rows, args.out, payload)
     return 0

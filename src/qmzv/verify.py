@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import seqlib, zeta
 from .exactnum import poly_str
 from .qstirling import orthogonality_check, parse_qpoint
-from .util import CheckResult
+from .util import CheckResult, any_size_ints
 from .zeta import DEFAULT_BRUTE_BUDGET
 
 
@@ -252,9 +252,12 @@ def suite_cases(suite: str, **bounds) -> list:
 def run_case(case) -> CheckResult:
     """Run one ``(label, case_name, params)`` case.  An exception the case
     raises is recorded as its one failure, so that a sweep still reports
-    every case."""
+    every case.  The case runs inside :func:`~qmzv.util.any_size_ints`, so
+    exact values past 4300 digits format for its report; its parameters are
+    ints and q-point names, not outside input."""
     _label, name, params = case
-    try:
-        return CASES[name](**params)
-    except Exception as exc:
-        return _result(False, "no exception", f"{type(exc).__name__}: {exc}", [name])
+    with any_size_ints():
+        try:
+            return CASES[name](**params)
+        except Exception as exc:
+            return _result(False, "no exception", f"{type(exc).__name__}: {exc}", [name])

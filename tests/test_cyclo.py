@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from qmzv.cyclo import (
     ContextMismatch,
+    CycloCtx,
     NotRational,
     ZeroInverse,
     as_rational,
@@ -421,3 +423,17 @@ def test_element_builds_lowest_terms_from_fraction_coordinates():
     with pytest.raises(ValueError):
         ctx.element([F(1, 2)] * 5)
 
+
+
+def test_bad_orders_and_operations_are_refused():
+    one = cyclo_ctx(5).one()
+    for exc, call, args, message in [
+        (ValueError, cyclotomic_poly, (0,), "n must be >= 1"),
+        (ValueError, CycloCtx, (0,), "n must be >= 1"),
+        (ValueError, product_one_minus_powers, (cyclo_ctx(1),), "needs n >= 2"),
+        (ZeroDivisionError, operator.truediv, (one, 0), "division by zero"),
+        (AttributeError, setattr, (one, "num", (0,) * 4), "CycloElem is immutable"),
+    ]:
+        with pytest.raises(exc) as info:
+            call(*args)
+        assert str(info.value) == message, (call.__name__, args)

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -17,6 +18,7 @@ from qmzv.exactnum import (
     det_cofactor,
     det_fraction_free,
     det_hessenberg,
+    exact_div,
     kronecker_pack,
     kronecker_unpack,
     kronecker_width,
@@ -645,3 +647,17 @@ def test_harmonic_q_series_deep_tuple_has_no_recursion_limit():
     # the only decreasing 1099-tuple below 1100 is 1099 > ... > 1; at q = 1
     # every factor is 1/i
     assert harmonic_q_series(1100, (1,) * 1099, q=1) == Fraction(1, factorial(1099))
+
+
+def test_bad_divisions_and_writes_are_refused():
+    for exc, call, args, message in [
+        (AttributeError, setattr, (UniPoly((1,)), "coeffs", ()), "UniPoly is immutable"),
+        (DivisionByZero, operator.truediv, (UniPoly((1,)), 0), "division by zero"),
+        (DivisionByZero, exact_div, (1, 0), "division by zero"),
+        (InexactDivision, exact_div, (3, 2), "3 not divisible by 2"),
+    ]:
+        with pytest.raises(exc) as info:
+            call(*args)
+        assert str(info.value) == message, (call.__name__, args)
+    # the empty matrix has determinant 1
+    assert det_fraction_free([]) == 1

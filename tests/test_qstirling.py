@@ -270,6 +270,22 @@ def test_orthogonality_diagonal_case():
     assert res.passed
 
 
+def test_bad_indices_and_kinds_are_refused():
+    q = RationalQ(F(2, 3))
+    for call, args, message in [
+        (qnum, (-1, q), "q-number index must be >= 0"),
+        (qfact, (-1, q), "q-factorial index must be >= 0"),
+        (falling_product, (3, 0, 1, q), "need r >= 1 and s >= 1"),
+        (qstirling.StirlingTable, ("third", 1, 1, q), "unknown kind 'third'"),
+        (qstirling.StirlingTable("first", 2, 1, q).weight, (1,), "weight index must be >= r"),
+        (stirling1_closed, (4, 2, 1, 0, q), "need s >= 1"),
+        (stirling2_iterated, (4, 2, 0, 1, q), "need r >= 1 and s >= 1"),
+    ]:
+        with pytest.raises(BadParams) as info:
+            call(*args)
+        assert str(info.value) == message, (call.__name__, args)
+
+
 def test_orthogonality_refuses_a_negative_n_max():
     for q in (SYM, Q1, RootOfUnityQ(5)):
         with pytest.raises(BadParams):

@@ -178,6 +178,22 @@ def test_negative_orders_are_refused_by_every_route():
             bell(-1, [])
 
 
+def test_bad_routes_and_indices_are_refused():
+    for call, args, kwargs, message in [
+        (seq_transform_forward, ([F(1)], 1), {"route": "newton"}, "unknown route 'newton'"),
+        (seq_transform_inverse, ([F(1)], 1), {"route": "newton"}, "unknown route 'newton'"),
+        (harmonic, (0,), {}, "need n >= 1"),
+        (hyperharmonic, (0, 1), {}, "need n, k >= 1"),
+        (degen_bernoulli_poly, (-1,), {}, "need k >= 0"),
+        (norlund, (-1,), {}, "need n >= 0"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            call(*args, **kwargs)
+        assert str(info.value) == message, (call.__name__, args)
+    # the empty inverse transform is the constant term 1
+    assert seq_transform_inverse([], 0) == 1
+
+
 # ------------------------------------- graded ints behind Bell and det
 
 

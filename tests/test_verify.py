@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -156,6 +157,20 @@ def test_a_case_that_raises_is_one_failed_case(capsys, monkeypatch):
     monkeypatch.setitem(verify.CASES, "binomial_det", interrupted)
     with pytest.raises(KeyboardInterrupt):
         verify.run_case(("binomial-det n=2 s=1", "binomial_det", {"n": 2, "s": 1}))
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit before Python 3.10.7")
+def test_cases_past_the_int_digit_limit_pass():
+    # Z(2; 1, 15000) = 1/2^15000 has 4516 digits, past the interpreter's
+    # default limit of 4300 for int -> str, which the reports format
+    limit = sys.get_int_max_str_digits()
+    for case in (
+        ("routes n=2 m=1 s=15000", "routes", {"n": 2, "m": 1, "s": 15000, "budget": 0}),
+        ("row-from-column n=2 m=1 s=15000", "row_from_column", {"n": 2, "m": 1, "s": 15000}),
+    ):
+        result = verify.run_case(case)
+        assert (result.cases, result.failures) == (1, []), case
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_a_planted_power_sum_fault_fails_only_the_routes_that_share_it(capsys, monkeypatch):

@@ -4,7 +4,6 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from engine_seams import mismatches
 
 from qmzv import cyclo, exactnum, qstirling, seqlib
 from qmzv import zeta as zmod
@@ -138,6 +137,19 @@ def test_brute_rejects_bad_params():
         zeta_brute(5, 1, 0)
 
 
+def test_rows_and_closed_forms_refuse_an_m_out_of_range():
+    for call, args, message in [
+        (zeta_product, (5, 1, -1), "need m_max >= 0"),
+        (zeta_row_from_column, (5, 0, 1), "need m >= 1"),
+        (zeta_m2_closed, (5, 0), "need m >= 1"),
+        (zeta_m2_rstirling, (5, 0), "need m >= 1"),
+        (zeta_m3_closed, (5, 0), "need m >= 1"),
+    ]:
+        with pytest.raises(BadParams) as info:
+            call(*args)
+        assert str(info.value) == message, (call.__name__, args)
+
+
 # ----------------------------------------------------------------- product
 
 
@@ -258,10 +270,43 @@ def test_newton_large_rows_match_closed_forms():
     assert all(row[m] == zeta_m3_closed(61, m) for m in range(1, 61))
 
 
-def test_engines_agree_at_the_cheaper_selector_seams():
-    # every seam with n <= 60 whose six rows are estimated at 0.2 s or less;
-    # `python tests/engine_seams.py --n-max 60` (a CI step) checks them all
-    assert mismatches(60, max_cost=2e5) == []
+def _seams(n):
+    """The seams of row n as (s, engine below s, engine from s on): the s
+    whose choice by ``_row_engine`` differs from the choice at s - 1.  The
+    complement engine, whose cost grows as s^1.57 against Newton's s^2 and
+    the multisection's 2^s, is the one the estimates favour for every large
+    enough s: it is the last engine, and the scan ends where it is chosen."""
+    found = []
+    before = _row_engine(n, 1)
+    s = 1
+    while before != "complement":
+        s += 1
+        after = _row_engine(n, s)
+        if after != before:
+            found.append((s, before, after))
+            before = after
+    return found
+
+
+def _mismatches(n_max):
+    """(n, s, engine, engine) for every row s - 1, s or s + 1 of a seam s
+    with n <= n_max where the two engines of the seam differ."""
+    bad = []
+    for n in range(2, n_max + 1):
+        for s, below, above in _seams(n):
+            for t in (s - 1, s, s + 1):
+                # the full rows, built afresh rather than read from the row
+                # memo (Newton still reads the power-sum prefix of n)
+                lower, upper = (ROW_ENGINES[e](n - 1, n, t) for e in (below, above))
+                if lower != upper:
+                    bad.append((n, t, below, above))
+    return bad
+
+
+def test_engines_agree_at_every_selector_seam():
+    # the 74 seams with n <= 60, about half a second in all
+    assert sum(len(_seams(n)) for n in range(2, 61)) == 74
+    assert _mismatches(60) == []
 
 
 @pytest.mark.parametrize("name, n_max, s_max", [
@@ -688,6 +733,8 @@ def test_harmonic_q_series_rejects_bad_parts():
         harmonic_q_series(5, ())
     with pytest.raises(BadParams):
         harmonic_q_series(5, (0,))
+    with pytest.raises(BadParams, match="^need n >= 2$"):
+        harmonic_q_series(1, (1,))
 
 
 def test_bernoulli_identity_example():
@@ -804,8 +851,15 @@ def test_zeta_poly_detects_non_polynomial_values(monkeypatch):
     import qmzv.zeta as zmod
     from qmzv.zeta import DegreeMismatch
 
+    true = zmod._zeta_multi
+    # at (m, s) = (1, 2) the samples are n = 2..6 and the extra ones 7 and 8:
+    # off the curve at every sample, the interpolant's degree is too high
     monkeypatch.setattr(zmod, "_zeta_multi", lambda n, m, s: F(2) ** n)
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(DegreeMismatch, match="^interpolant degree 4 exceeds 2$"):
+        zmod.zeta_poly_in_n(1, 2)
+    # on the curve at every sample but the extra ones, only they are caught
+    monkeypatch.setattr(zmod, "_zeta_multi", lambda n, m, s: true(n, m, s) + (n > 6))
+    with pytest.raises(DegreeMismatch, match="^extra sample n=7 is off the curve$"):
         zmod.zeta_poly_in_n(1, 2)
 
 
