@@ -1,7 +1,8 @@
 """Exact arithmetic kernel: dense polynomials, determinant routines, the
 power-series loops, the one-row tuple-sum enumerator ``tuple_product_sum``
-and the expansion ``subset_product_sums`` of prod (1 + vX), over generic
-commutative coefficient rings.
+(one product per prefix of all but the last factor, times the suffix sum of
+the row after it) and the expansion ``subset_product_sums`` of
+prod (1 + vX), over generic commutative coefficient rings.
 
 A truncated power series is a plain coefficient sequence, lowest degree
 first, whose length is its order.  Three loops are the whole series layer:
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 
@@ -423,30 +425,39 @@ def tuple_product_sum(row: Sequence, depth: int, strict: bool = True, mul=operat
     """Sum of row[i_1] * ... * row[i_depth] over the index tuples
     i_1 < ... < i_depth (i_1 <= ... <= i_depth when ``strict`` is false).
 
-    A literal enumeration on an explicit stack, so the depth has no
-    recursion limit: each prefix product is computed once and shared by
-    every tuple that extends it, and each product starts from its first
-    factor.  Depth 0 gives 1 (the empty product); no tuple gives 0.
+    A literal enumeration of the (depth - 1)-prefixes on an explicit stack,
+    so the depth has no recursion limit: each prefix product is computed
+    once and shared by every tuple that extends it, and each product starts
+    from its first factor.  The last factor is not enumerated: each prefix
+    is multiplied once by the suffix sum row[a] + ... + row[-1], with a the
+    first index its last factor may take, which by distributivity is the
+    sum over its extensions.  So there is one product per (depth - 1)-prefix,
+    not one per tuple.  Depth 0 gives 1 (the empty product); no tuple
+    gives 0.
 
-    Every product is ``mul(prefix, factor)``, plain ``*`` by default.  With
-    a ``mul`` that reduces its product by a modulus (``zeta.zeta_brute``
+    Every product is ``mul(prefix, factor)``, plain ``*`` by default, where
+    the factor is a row entry or, at the last level, a suffix sum.  With a
+    ``mul`` that reduces its product by a modulus (``zeta.zeta_brute``
     folds packed integers modulo 2^N - 1), the result is congruent to the
-    sum modulo it; the additions are left unreduced.
+    sum modulo it; the additions, the suffix sums among them, are left
+    unreduced.
     """
     if depth == 0:
         return 1
+    if not row:
+        return 0
+    suffix = list(accumulate(reversed(row)))[::-1]  # row[a] + ... + row[-1]
     step = 1 if strict else 0
-    ends = [len(row) - step * (depth - 1 - d) for d in range(depth)]
+    ends = [len(row) - step * (depth - 1 - d) for d in range(depth - 1)]
     total = None
     stack = [(0, 0, None)]  # (level, first index, product of the factors above)
     while stack:
         d, start, prefix = stack.pop()
         if d == depth - 1:
-            for i in range(start, ends[d]):
-                p = row[i] if prefix is None else mul(prefix, row[i])
-                total = p if total is None else total + p
+            p = suffix[start] if prefix is None else mul(prefix, suffix[start])
+            total = p if total is None else total + p
         else:
-            # pushed last to first, so tuples are summed in lexicographic order
+            # pushed last to first, so prefixes are summed in lexicographic order
             for i in range(ends[d] - 1, start - 1, -1):
                 p = row[i] if prefix is None else mul(prefix, row[i])
                 stack.append((d + 1, i + step, p))

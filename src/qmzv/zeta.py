@@ -8,8 +8,10 @@ stable under the Galois action zeta -> zeta^a), and every route here must
 return the same rational:
 
 * ``zeta_brute``        -- literal tuple enumeration, the oracle: one product
-                           per tuple (prefixes shared), on integers packed
-                           modulo 2^N - 1, the image of Z[x]/(x^n - 1).
+                           per prefix of all but the last index (prefixes
+                           shared, the last factor summed once per prefix),
+                           on integers packed modulo 2^N - 1, the image of
+                           Z[x]/(x^n - 1).
                            When 2m > n - 1 it enumerates the shorter
                            complementary tuples of (1 - zeta^i)^s instead,
                            by prod_(i=1..n-1) (1 - zeta^i) = n, and the one
@@ -395,9 +397,12 @@ def _cyclic_tuple_sum(n: int, rows, depth: int, count: int) -> list:
     each row given by at most n integer coefficients.
 
     Every row is packed at x = 2^(8w), and every product of the literal
-    enumeration is reduced modulo M = 2^(8wn) - 1, the integer image of
-    x^n = 1: one big-int product, a mask, a shift and an add.  The L1 norm
-    is submultiplicative under cyclic convolution, so with L the largest row
+    enumeration of ``tuple_product_sum`` is reduced modulo M = 2^(8wn) - 1,
+    the integer image of x^n = 1: one big-int product, a mask, a shift and
+    an add.  The enumeration takes one product per (depth - 1)-prefix, the
+    last one by the unreduced suffix sum of the packed rows after it, which
+    is congruent to the sum over that prefix's tuples.  The L1 norm is
+    submultiplicative under cyclic convolution, so with L the largest row
     norm every coefficient of the exact sum is below count * L^depth in
     absolute value, and w = ``kronecker_width`` of that bound keeps the
     packed exact sum inside (-M/2, M/2]: its balanced residue is that sum.
@@ -426,14 +431,15 @@ def zeta_brute(n: int, m: int, s: int, budget: int = DEFAULT_BRUTE_BUDGET) -> Ze
     prod_(i=1..n-1) (1 - zeta^i) = n, each m-tuple's product is also the
     product of u_i = (1 - zeta^i)^s over the complementary (n-1-m)-tuple,
     divided by n^s; so when 2m > n - 1 the sum runs over those shorter
-    tuples, and m = n - 1 needs none.  Either way every tuple's product is
-    taken on packed integers modulo 2^N - 1 (``_cyclic_tuple_sum``) and the
-    one total is rationalized in Q(zeta_n).  The rows of each side depend on
-    (n, s) only and are memoized (``_brute_rows``), so a sweep over m builds
-    them once.
+    tuples, and m = n - 1 needs none.  Either way the tuple sum is taken on
+    packed integers modulo 2^N - 1 (``_cyclic_tuple_sum``), one product per
+    prefix of all but the last index, and the one total is rationalized in
+    Q(zeta_n).  The rows of each side depend on (n, s) only and are
+    memoized (``_brute_rows``), so a sweep over m builds them once.
 
     Refuses to enumerate more than ``budget`` tuples, counted as C(n-1, m)
-    before any row is built.
+    before any row is built; the budget counts tuples, though the work is
+    one product per (depth - 1)-prefix.
     """
     _validate(n, m, s)
     if m == 0:

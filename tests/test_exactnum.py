@@ -556,17 +556,30 @@ def test_tuple_product_sum_matches_literal_combinations():
 
 
 def test_tuple_product_sum_edge_cases():
-    row = [F(2), F(3), F(5)]
-    assert tuple_product_sum(row, 0) == 1
-    assert tuple_product_sum(row, 0, strict=False) == 1
-    assert tuple_product_sum([], 0) == 1
-    assert tuple_product_sum(row, 4) == 0
-    assert tuple_product_sum(row, 3) == 30
-    assert tuple_product_sum(row, 4, strict=False) == sum(
-        prod(c) for c in combinations_with_replacement(row, 4)
-    )
-    assert tuple_product_sum([], 1) == 0
-    assert tuple_product_sum([], 2, strict=False) == 0
+    row = [F(2), F(-3), F(5, 7), F(11)]
+
+    def literal(values, depth, strict=True):
+        tuples = combinations if strict else combinations_with_replacement
+        return sum(prod(c) for c in tuples(values, depth))
+
+    def never(a, b):
+        raise AssertionError("depth 1 takes no product")
+
+    for strict in (True, False):
+        assert tuple_product_sum(row, 0, strict=strict) == 1
+        # depth 1: the sum of the row, and mul is never called
+        assert tuple_product_sum(row, 1, strict=strict, mul=never) == sum(row)
+        # depth = len(row): the one strict tuple, or every weak one
+        assert tuple_product_sum(row, 4, strict=strict) == literal(row, 4, strict)
+        # depth > len(row): no strict tuple, but weak tuples repeat entries
+        for depth in (5, 6):
+            assert tuple_product_sum(row, depth, strict=strict) == literal(row, depth, strict)
+        # an empty row has only the empty tuple
+        assert tuple_product_sum([], 0, strict=strict) == literal([], 0, strict) == 1
+        for depth in (1, 2, 3):
+            assert tuple_product_sum([], depth, strict=strict, mul=never) == 0
+    assert tuple_product_sum(row, 4) == prod(row)
+    assert tuple_product_sum(row, 5) == 0
 
 
 def test_tuple_product_sum_reduces_each_product_through_mul():
@@ -582,6 +595,25 @@ def test_tuple_product_sum_reduces_each_product_through_mul():
         reduced = tuple_product_sum(row, 3, strict=strict, mul=mul_mod)
         assert reduced != plain  # the products went through mul
         assert reduced % prime == plain % prime
+
+
+def test_tuple_product_sum_stays_congruent_when_suffix_sums_pass_the_modulus():
+    modulus = 97
+    row = [90, 95, 96, 93, 88, 91, 94]  # each below 97, every suffix of two or more above it
+    seen = []
+
+    def mul_mod(a, b):
+        seen.append(b)
+        return a * b % modulus
+
+    for strict in (True, False):
+        tuples = combinations if strict else combinations_with_replacement
+        for depth in (2, 3, 4):
+            seen.clear()
+            want = sum(prod(c) for c in tuples(row, depth))
+            got = tuple_product_sum(row, depth, strict=strict, mul=mul_mod)
+            assert got % modulus == want % modulus, (strict, depth)
+            assert max(seen) > modulus  # a suffix sum reached mul unreduced
 
 
 class _Counted:
@@ -603,12 +635,21 @@ class _Counted:
         return _Counted(other + self.v)
 
 
-def test_tuple_sums_share_prefixes_and_start_from_the_first_factor():
+def test_tuple_sums_share_prefixes_and_sum_the_last_factor_once_per_prefix():
     values = [_Counted(F(k)) for k in (2, 3, 5, 7)]
     _Counted.muls = 0
     assert tuple_product_sum(values, 3).v == 2 * 3 * 5 + 2 * 3 * 7 + 2 * 5 * 7 + 3 * 5 * 7
-    # 3 shared pair prefixes, then one multiplication per 3-tuple
-    assert _Counted.muls == 3 + 4
+    # 3 shared pair prefixes, then one multiplication per pair prefix by the
+    # suffix sum of the values after it, not one per 3-tuple
+    assert _Counted.muls == 3 + 3
+    eight = [_Counted(F(k)) for k in range(1, 9)]
+    _Counted.muls = 0
+    want = sum(prod(c) for c in combinations(range(1, 9), 4))
+    assert tuple_product_sum(eight, 4).v == want
+    # C(6, 2) pair and C(7, 3) triple prefixes, then one multiplication per
+    # triple prefix: 85 products, against 15 + 35 + C(8, 4) = 120 with one
+    # per 4-tuple
+    assert _Counted.muls == 15 + 35 + 35
     _Counted.muls = 0
     sums = subset_product_sums(values, _Counted(F(1)))
     assert [c.v for c in sums] == [1, 17, 101, 247, 210]

@@ -8,7 +8,7 @@ import pytest
 from qmzv import cyclo, exactnum, qstirling, seqlib
 from qmzv import zeta as zmod
 from qmzv.cyclo import CycloElem, as_rational, cyclo_ctx
-from qmzv.exactnum import UniPoly, newton_log, tuple_product_sum
+from qmzv.exactnum import UniPoly, newton_log, subset_product_sums
 from qmzv.qstirling import BadParams, rstirling1
 from qmzv.seqlib import _slot, harmonic, seq_transform_forward
 from qmzv.zeta import (
@@ -75,14 +75,15 @@ def test_brute_budget():
 
 
 def test_brute_matches_the_tuple_sum_in_the_field():
-    # Reference: the same tuples summed as elements of Q(zeta_n).  Every
-    # 1 <= m <= n - 1 for n <= 14 takes both the direct and the
-    # complementary enumeration.
+    # Reference: the same tuple sums as elements of Q(zeta_n), the
+    # coefficients e_m of prod (1 + v_i X), which share no code with the
+    # enumerator brute runs.  Every 1 <= m <= n - 1 for n <= 14 takes both
+    # the direct and the complementary enumeration.
     for n in range(2, 15):
-        for m in range(1, n):
-            for s in range(1, 5):
-                want = as_rational(tuple_product_sum(_inv_pows(n, s), m))
-                assert zeta_brute(n, m, s).value == want, (n, m, s)
+        for s in range(1, 5):
+            sums = subset_product_sums(_inv_pows(n, s), cyclo_ctx(n).one())
+            for m in range(1, n):
+                assert zeta_brute(n, m, s).value == as_rational(sums[m]), (n, m, s)
 
 
 @pytest.mark.parametrize(
@@ -98,6 +99,10 @@ def test_brute_matches_the_tuple_sum_in_the_field():
         (41, 38, 2),
         (30, 4, 2),
         (97, 1, 12),
+        # C(104, 3) = 182104 and C(210, 2) = 21945 tuples, but the last
+        # level takes one product per (m - 1)-prefix: C(103, 2) = 5253 and 209
+        (105, 3, 3),
+        (211, 2, 3),
     ],
 )
 def test_brute_matches_closed_forms_beyond_the_grid(n, m, s):
