@@ -5,6 +5,11 @@ All rationals are printed as exact ``p/q`` strings; ``--approx`` adds clearly
 labeled decimal approximations.  ``verify`` runs the suites defined in
 ``qmzv.verify``, exits 4 when any case fails and emits a machine-readable
 report.
+
+``main`` runs each subcommand from the command table ``_COMMANDS``; every
+command writes its output through the one renderer ``_render_rows``; and one
+``except`` maps each refusal to its exit code through the ordered refusal
+table ``_EXIT_CODES``.
 """
 
 from __future__ import annotations
@@ -57,21 +62,22 @@ def _emit(text: str, out):
         sys.stdout.write(text)
 
 
-def _render_rows(fmt, header, rows, out, json_payload):
-    """Rows are lists of already-stringified cells."""
-    if fmt == "json":
-        _emit(json.dumps(json_payload, sort_keys=True) + "\n", out)
-    elif fmt == "csv":
+def _render_rows(args, header, rows, payload, lines=None):
+    """Write one command's output in its ``--format``: the JSON payload, the
+    header and rows as csv, or as text the command's own ``lines``, else the
+    rows as an aligned table.  Rows are lists of already-stringified cells."""
+    if args.format == "json":
+        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
+    elif args.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        _emit(buf.getvalue(), out)
+        csv.writer(buf, lineterminator="\n").writerows([header] + rows)
+        _emit(buf.getvalue(), args.out)
     else:
-        cells = [[str(c) for c in r] for r in [header] + rows]
-        widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-        lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in cells]
-        _emit("\n".join(lines) + "\n", out)
+        if lines is None:
+            cells = [[str(c) for c in r] for r in [header] + rows]
+            widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
+            lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in cells]
+        _emit("\n".join(lines) + "\n", args.out)
 
 
 def _approx(v) -> float:
@@ -101,20 +107,17 @@ def cmd_value(args) -> int:
     zv = zeta.zeta_value(args.n, args.m, args.s, method=args.method, budget=_budget(args))
     with any_size_ints():
         header = ["n", "m", "s", "method", "value"]
-        row = [args.n, args.m, args.s, zv.method, str(zv.value)]
+        value = str(zv.value)
+        row = [args.n, args.m, args.s, zv.method, value]
         payload = dict(zip(header, row))
+        text = f"Z(n={args.n}; m={args.m}, s={args.s}) = {value} [{zv.method}]"
         if args.approx:
             approx = _approx(zv.value)
             payload["approx"] = approx
             header.append("approx")
             row.append(repr(approx))
-        if args.format == "text":
-            text = f"Z(n={args.n}; m={args.m}, s={args.s}) = {zv.value} [{zv.method}]"
-            if args.approx:
-                text += f" (approx {approx!r})"
-            _emit(text + "\n", args.out)
-        else:
-            _render_rows(args.format, header, [row], args.out, payload)
+            text += f" (approx {approx!r})"
+        _render_rows(args, header, [row], payload, [text])
     return 0
 
 
@@ -131,9 +134,10 @@ def _value_rows(index, values, approx):
 
 
 def _triangle(n_max, entry):
-    """Rows [n, k, entry(n, k)] for 0 <= k <= n <= n_max, and as JSON values."""
+    """Header, rows [n, k, entry(n, k)] for 0 <= k <= n <= n_max, and the
+    rows as JSON values."""
     rows = [[n, k, entry(n, k)] for n in range(n_max + 1) for k in range(n + 1)]
-    return rows, [{"n": n, "k": k, "value": text} for n, k, text in rows]
+    return ["n", "k", "value"], rows, [{"n": n, "k": k, "value": text} for n, k, text in rows]
 
 
 def cmd_table(args) -> int:
@@ -146,49 +150,37 @@ def cmd_table(args) -> int:
         raise BadParams("--n-max must be >= 0")
     q = parse_qpoint(args.q) if args.table in ("stirling1", "stirling2") else None
     with any_size_ints():
-        header, rows, payload = _table_rows(args, q)
-        _render_rows(args.format, header, rows, args.out, payload)
+        if args.table == "zeta":
+            values = [zv.value for zv in zeta.zeta_product(args.n, args.s, args.n - 1)]
+            header, rows, texts = _value_rows("m", values, args.approx)
+            payload = {"kind": "zeta", "n": args.n, "s": args.s, "values": texts}
+        elif q is not None:  # stirling1, stirling2
+            fn = stirling1 if args.table == "stirling1" else stirling2
+            header, rows, values = _triangle(n_max, lambda n, k: _format_value(fn(n, k, r=args.r, s=args.s, q=q)))
+            payload = {"kind": args.table, "r": args.r, "s": args.s, "q": args.q, "values": values}
+        elif args.table == "rstirling":
+            header, rows, values = _triangle(n_max, lambda n, k: str(rstirling1(n, k, args.r)))
+            payload = {"kind": "rstirling", "r": args.r, "values": values}
+        else:  # bernoulli
+            if args.kind == "order":
+                vals = seqlib._prefix(n_max, seqlib._bernoulli_orders, args.alpha)[: n_max + 1]
+                label = f"order-{args.alpha}"
+            else:
+                vals = seqlib._prefix(n_max, seqlib._norlund_numbers)[: n_max + 1]
+                label = "norlund"
+            header, rows, texts = _value_rows("n", vals, args.approx)
+            payload = {"kind": "bernoulli", "family": label, "values": texts}
+        _render_rows(args, header, rows, payload)
     return 0
-
-
-def _table_rows(args, q):
-    """Header, rows and JSON payload of ``table``, for a q-point ``q``
-    already parsed from ``--q``."""
-    n_max = args.n_max
-    if args.table == "zeta":
-        values = [zv.value for zv in zeta.zeta_product(args.n, args.s, args.n - 1)]
-        header, rows, texts = _value_rows("m", values, args.approx)
-        payload = {"kind": "zeta", "n": args.n, "s": args.s, "values": texts}
-    elif args.table in ("stirling1", "stirling2"):
-        fn = stirling1 if args.table == "stirling1" else stirling2
-        rows, values = _triangle(n_max, lambda n, k: _format_value(fn(n, k, r=args.r, s=args.s, q=q)))
-        header = ["n", "k", "value"]
-        payload = {"kind": args.table, "r": args.r, "s": args.s, "q": args.q, "values": values}
-    elif args.table == "rstirling":
-        rows, values = _triangle(n_max, lambda n, k: str(rstirling1(n, k, args.r)))
-        header = ["n", "k", "value"]
-        payload = {"kind": "rstirling", "r": args.r, "values": values}
-    else:  # bernoulli
-        if args.kind == "order":
-            vals = seqlib._prefix(n_max, seqlib._bernoulli_orders, args.alpha)[: n_max + 1]
-            label = f"order-{args.alpha}"
-        else:
-            vals = seqlib._prefix(n_max, seqlib._norlund_numbers)[: n_max + 1]
-            label = "norlund"
-        header, rows, texts = _value_rows("n", vals, args.approx)
-        payload = {"kind": "bernoulli", "family": label, "values": texts}
-    return header, rows, payload
 
 
 def cmd_poly(args) -> int:
     p = zeta.zeta_poly_in_n(args.m, args.s, degree_cap=args.degree_cap)
     coeffs = [str(c) for c in p.coeffs]
     payload = {"m": args.m, "s": args.s, "degree": p.degree(), "coefficients": coeffs}
-    if args.format == "text":
-        _emit(f"Z(n; m={args.m}, s={args.s}) = {poly_str(p, 'n')}\n", args.out)
-    else:
-        rows = [[k, c] for k, c in enumerate(coeffs)]
-        _render_rows(args.format, ["power", "coefficient"], rows, args.out, payload)
+    rows = [[k, c] for k, c in enumerate(coeffs)]
+    text = f"Z(n; m={args.m}, s={args.s}) = {poly_str(p, 'n')}"
+    _render_rows(args, ["power", "coefficient"], rows, payload, [text])
     return 0
 
 
@@ -230,22 +222,28 @@ def cmd_verify(args) -> int:
     failures = sorted(failed, key=lambda f: f["case"])
     elapsed_ms = int((time.monotonic() - start) * 1000)
     report = {"suite": args.suite, "cases": len(cases), "failures": failures, "elapsed_ms": elapsed_ms}
-    if args.format == "text":
-        lines = [
-            f"suite {args.suite}: {'PASS' if not failures else 'FAIL'} "
-            f"({len(cases)} cases, {len(failures)} failures, {elapsed_ms} ms)"
-        ]
-        lines += [f"  FAIL {f['case']}: expected {f['expected']}, got {f['actual']}" for f in failures]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        rows = [[args.suite, len(cases), len(failures), elapsed_ms]]
-        rows += [["FAIL", f["case"], f["expected"], f["actual"]] for f in failures]
-        _render_rows(args.format, ["suite", "cases", "failures", "elapsed_ms"], rows, args.out, report)
+    lines = [
+        f"suite {args.suite}: {'PASS' if not failures else 'FAIL'} "
+        f"({len(cases)} cases, {len(failures)} failures, {elapsed_ms} ms)"
+    ]
+    lines += [f"  FAIL {f['case']}: expected {f['expected']}, got {f['actual']}" for f in failures]
+    rows = [[args.suite, len(cases), len(failures), elapsed_ms]]
+    rows += [["FAIL", f["case"], f["expected"], f["actual"]] for f in failures]
+    _render_rows(args, ["suite", "cases", "failures", "elapsed_ms"], rows, report, lines)
     return 4 if failures else 0
 
 
+_COMMANDS = {"value": cmd_value, "table": cmd_table, "poly": cmd_poly, "verify": cmd_verify}
+
+#: Each refusal and its exit code, in the order they are matched:
+#: ``BadParams`` and ``UnsupportedClosedForm`` are both ``ValueError``s.
+_EXIT_CODES = {BudgetExceeded: 2, UnsupportedClosedForm: 3, ValueError: 1}
+
+
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="qmzv", description=__doc__)
+    # --help shows the docstring's paragraphs for users, not the last one on
+    # the code; under -OO there is no docstring
+    parser = _Parser(prog="qmzv", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_value = sub.add_parser("value", help="compute one exact value")
@@ -316,22 +314,10 @@ def main(argv=None) -> int:
         _PARSER = _build_parser()
     args = _PARSER.parse_args(_join_negative_q(sys.argv[1:] if argv is None else argv))
     try:
-        if args.command == "value":
-            return cmd_value(args)
-        if args.command == "table":
-            return cmd_table(args)
-        if args.command == "poly":
-            return cmd_poly(args)
-        return cmd_verify(args)
-    except BudgetExceeded as exc:
+        return _COMMANDS[args.command](args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnsupportedClosedForm as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (BadParams, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

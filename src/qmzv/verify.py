@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import seqlib, zeta
 from .exactnum import poly_str
-from .qstirling import orthogonality_check, parse_qpoint
+from .qstirling import BadParams, orthogonality_check, parse_qpoint
 from .util import CheckResult, any_size_ints
 from .zeta import DEFAULT_BRUTE_BUDGET
 
@@ -209,6 +209,9 @@ def _suite_dgber(n_max=20, s_max=8, budget=DEFAULT_BRUTE_BUDGET, **_):
 
 
 def _suite_logf(trunc=12, **_):
+    # refused here, as the grid is listed, so no case runs
+    if not 1 <= trunc <= zeta.LOGF_MAX_TRUNC:
+        raise BadParams(f"need 1 <= trunc <= {zeta.LOGF_MAX_TRUNC}")
     for s in (1, 2, 3):
         yield (f"logf s={s}", "logf", {"s": s, "trunc": trunc})
 

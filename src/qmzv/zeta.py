@@ -713,6 +713,10 @@ def f_poly(s: int, l: int) -> UniPoly:
     return UniPoly([one_x] + f[1:])
 
 
+#: The deepest truncation in Y that ``logf_identity_check`` accepts.
+LOGF_MAX_TRUNC = 20
+
+
 def logf_identity_check(s: int, trunc: int = 12) -> CheckResult:
     """Check the bivariate generating identity
 
@@ -724,8 +728,8 @@ def logf_identity_check(s: int, trunc: int = 12) -> CheckResult:
     """
     if s not in (1, 2, 3):
         raise BadParams("left side is evaluated for s in {1, 2, 3} only")
-    if not 1 <= trunc <= 20:
-        raise BadParams("need 1 <= trunc <= 20")
+    if not 1 <= trunc <= LOGF_MAX_TRUNC:
+        raise BadParams(f"need 1 <= trunc <= {LOGF_MAX_TRUNC}")
     # k [Y^k] of the signed sum of log F(s, l), each F cut or zero-padded to
     # Y^trunc; every F(s, l) has constant term 1, so the logs start at Y^1
     weighted = [0] * (trunc + 1)

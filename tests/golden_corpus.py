@@ -107,6 +107,7 @@ def _groups() -> dict:
         _args("poly", "--m", 4, "--s", 5),
         _args("verify", "routes", "--n-max", 0),
         _args("verify", "routes", "--n-max", 3, "--budget", -5),
+        _args("verify", "logf", "--trunc", 21),
     ]
     groups["refused-q-point"] = [
         _args("table", "stirling2", "--q", "1/0", "--n-max", 3),

@@ -368,6 +368,21 @@ def test_verify_logf_with_trunc(capsys):
     assert code == 0 and json.loads(out)["cases"] == 3
 
 
+def test_verify_refuses_a_trunc_past_the_logf_bound_before_any_case(capsys, monkeypatch):
+    ran = []
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "run_case", ran.append)
+        for suite in ("logf", "all"):
+            code, out, err = run_cli(capsys, "verify", suite, "--trunc", "21")
+            assert (code, out, err) == (1, "", "error: need 1 <= trunc <= 20\n"), suite
+    assert ran == []
+    # routes reads no --trunc, and the bound itself is accepted
+    code, out, _ = run_cli(capsys, "verify", "routes", "--n-max", "3", "--trunc", "21", "--format", "json")
+    assert code == 0 and json.loads(out)["cases"] == 78
+    code, out, _ = run_cli(capsys, "verify", "logf", "--trunc", "20", "--format", "json")
+    assert code == 0 and json.loads(out)["cases"] == 3
+
+
 def test_verify_rejects_degenerate_ranges(capsys):
     code, _, err = run_cli(capsys, "verify", "routes", "--n-max", "0")
     assert code == 1 and "--n-max" in err
